@@ -14,8 +14,9 @@ and metric means.
 Every workload runs in fresh processes: set-up-only children, then one
 measuring child that times its own set-up too (``setup_s`` is the median
 of the ``SETUPS`` set-ups), so set-up time and peak memory belong to that
-workload alone.  The library is imported
-from ``src/`` of the checkout the command runs in.
+workload alone.  Every time an end-to-end metric is made of is scaled
+to reference speed (``reference.py``).  The library is imported from
+``src/`` of the checkout the command runs in.
 """
 
 from __future__ import annotations
@@ -37,6 +38,9 @@ OUT_DIR = ROOT / ".perfbench-out"
 WORKLOADS = ("batch-fleet", "long-trajectory", "ipls-fleet", "serve-open")
 #: fresh set-up processes per run; ``setup_s`` is their median
 SETUPS = 3
+#: reference rounds each set-up process times, on the wall clock like
+#: its set-up, right after it (see ``reference.py``)
+SETUP_REF_ROUNDS = 3
 #: wall-clock budget of one run, under the 180 s a run may take
 BUDGET_S = 170.0
 #: BLAS and OpenMP threads per process: pooled workloads run 2 worker
@@ -162,11 +166,10 @@ def parent(args) -> int:
     deadline = time.monotonic() + BUDGET_S
     try:
         setups = [
-            _run_child("setup", args, deadline)["setup_s"]
-            for _ in range(SETUPS - 1)
+            _run_child("setup", args, deadline) for _ in range(SETUPS - 1)
         ]
         rec = _run_child("measure", args, deadline)
-        setups.append(rec["setup_s"])
+        setups.append(rec)
     except (RuntimeError, subprocess.TimeoutExpired, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -179,6 +182,10 @@ def parent(args) -> int:
         "workers": rec["workers"],
     }
     print("host: " + json.dumps(host, sort_keys=True))
+    unscaled = dict(rec.get("unscaled", {}))
+    for key in ("setup_raw_s", "setup_ref_s"):
+        unscaled[key] = statistics.median(s[key] for s in setups)
+    print("unscaled: " + json.dumps(unscaled, sort_keys=True))
     for note in rec["failures"]:
         print(f"failure: {note}", file=sys.stderr)
     if args.trace:
@@ -188,7 +195,7 @@ def parent(args) -> int:
         }
     else:
         values = dict(rec["metrics"])
-        values["setup_s"] = statistics.median(setups)
+        values["setup_s"] = statistics.median(s["setup_s"] for s in setups)
         values["peak_rss_mb"] = rec["peak_rss_mb"]
         metrics = {
             name: {"value": values[name], "unit": unit}
@@ -221,6 +228,7 @@ def child(args) -> int:
     import numpy as np
 
     import workloads as wl
+    from reference import REF_S, reference_seconds
 
     t0 = time.perf_counter()
     workload = wl.BY_NAME[args.workload](args.seed, args.seconds)
@@ -228,9 +236,15 @@ def child(args) -> int:
     workload.construct()
     try:
         workload.cold_call()
-        setup_s = time.perf_counter() - t_start - generate_s
+        setup_raw_s = time.perf_counter() - t_start - generate_s
+        ref_s = reference_seconds(SETUP_REF_ROUNDS, time.perf_counter)
+        setup = {
+            "setup_s": REF_S * setup_raw_s / ref_s,
+            "setup_raw_s": setup_raw_s,
+            "setup_ref_s": ref_s,
+        }
         if args.child == "setup":
-            print(json.dumps({"setup_s": setup_s}))
+            print(json.dumps(setup))
             return 0
         workload.warm()
         if args.trace:
@@ -245,7 +259,7 @@ def child(args) -> int:
     import scipy
 
     rec.update(
-        setup_s=setup_s,
+        **setup,
         attempted=workload.attempted,
         failed=workload.failed,
         failures=workload.failures,
@@ -311,7 +325,8 @@ def traced(workload, args) -> dict:
         tracer.restore()
     spans = tracer.spans
     summary = summarize(spans)
-    calls = summary["call"]["count"]
+    # per request: a closed-loop request may span several calls
+    calls = summary["call"]["count"] / getattr(workload, "CYCLE", 1)
 
     def total(name):
         return summary.get(name, {}).get("total", 0.0) / calls
@@ -353,9 +368,12 @@ def traced(workload, args) -> dict:
     if "nonlinear.smooth_many" in summary:
         layer["nonlinear.inner_solve_s"] = total("batch.smooth_many")
         layer["nonlinear.stacked_solves"] = count("batch.smooth_many")
-    layer["parallel.map_s"] = total("parallel.map")
-    layer["parallel.map_calls"] = tracer.counts["parallel.map_calls"] / calls
-    layer["parallel.tasks"] = tracer.counts["parallel.tasks"] / calls
+    if "parallel.map" in summary:
+        layer["parallel.map_s"] = total("parallel.map")
+        layer["parallel.map_calls"] = (
+            tracer.counts["parallel.map_calls"] / calls
+        )
+        layer["parallel.tasks"] = tracer.counts["parallel.tasks"] / calls
     if "stream.submit" in summary:
         layer["stream.submit_s"] = total("stream.submit")
         layer["stream.poll_s"] = total("stream.poll")

@@ -1,9 +1,11 @@
-"""Checks of the benchmark's own tracing.
+"""Checks of the benchmark's own tracing and reference computation.
 
 Run with ``PYTHONPATH=src python -m pytest perfbench -q``.
 """
 
 from __future__ import annotations
+
+import gc
 
 import numpy as np
 
@@ -11,6 +13,7 @@ import repro
 import repro.batch.smoother as batch_smoother
 import repro.core.smoother as core_smoother
 from repro.parallel.backend import ThreadPoolBackend
+from reference import reference_round
 from tracing import Span, Tracer, summarize
 from workloads import build_linear, linear_arrays
 
@@ -84,3 +87,12 @@ def test_self_time_subtracts_the_union_of_children():
     assert summary["call"]["self"] == 10.0 - 5.0
     assert summary["a"]["self"] == 3.0 - 1.0
     assert summary["b"]["total"] == 3.0
+
+
+def test_reference_round_leaves_the_garbage_collector_alone():
+    # A collection inside some rounds but not others would make the
+    # reference time vary with the heap, not with the host.
+    reference_round(0.05)
+    before = gc.get_count()[0]
+    reference_round(0.05)
+    assert gc.get_count()[0] == before

@@ -31,6 +31,8 @@ from repro.model.problem import StateSpaceProblem
 from repro.model.steps import Evolution, GaussianPrior, Observation, Step
 from repro.stream import StreamStep
 
+from reference import REF_S, reference_seconds
+
 #: absolute agreement with the Paige-Saunders oracle (the registry
 #: agreement suite's tolerance)
 ORACLE_TOL = 1e-8
@@ -171,10 +173,14 @@ class Workload:
 class ClosedLoop(Workload):
     """A workload whose caller waits for each call before the next."""
 
-    #: independent problems and states one call returns
+    #: consecutive calls that make one request: its time is their sum
+    CYCLE = 1
+    #: independent problems and states one request returns
     SEQS = STATES = 1
     #: calls measured however long they take
     MIN_CALLS = 1
+    #: reference rounds timed before the first call and after each call
+    REF_ROUNDS = 1
     #: the clock a call is timed with: process CPU time, which leaves
     #: out the time a shared virtual machine's hypervisor gives to other
     #: guests ("steal": 14% of a minute measured during a run on a
@@ -214,18 +220,39 @@ class ClosedLoop(Workload):
     def warm(self):
         self.call()
 
+    def reference(self) -> float:
+        return reference_seconds(self.REF_ROUNDS, self.CLOCK)
+
     def run(self, seconds, tracer=None):
-        times = []
+        """Alternate calls with the reference computation; each call's
+        time is scaled by the reference time around it (see
+        ``reference.py``).  Requests whose calls all succeeded count."""
+        calls, ratios, refs = [], [], [self.reference()]
         start = time.perf_counter()
-        calls = 0
-        while calls < self.MIN_CALLS or time.perf_counter() - start < seconds:
+        while (
+            len(calls) < self.MIN_CALLS
+            or len(calls) % self.CYCLE
+            or time.perf_counter() - start < seconds
+        ):
             elapsed = self.call(tracer)
-            calls += 1
+            refs.append(self.reference())
+            calls.append(elapsed)
             if elapsed is not None:
-                times.append(elapsed)
-        p50 = self.p50 = statistics.median(times)
+                ratios.append(2 * elapsed / (refs[-2] + refs[-1]))
+            else:
+                ratios.append(None)
+        times, scaled = [], []
+        for i in range(0, len(calls), self.CYCLE):
+            if None not in calls[i : i + self.CYCLE]:
+                times.append(sum(calls[i : i + self.CYCLE]))
+                scaled.append(sum(ratios[i : i + self.CYCLE]))
+        p50 = REF_S * statistics.median(scaled)
         return {
             "times": times,
+            "unscaled": {
+                "call_p50_ms": statistics.median(times) * 1e3,
+                "ref_ms": statistics.median(refs) * 1e3,
+            },
             "metrics": {
                 "call_p50_ms": p50 * 1e3,
                 "seq_per_s": self.SEQS / p50,
@@ -288,18 +315,21 @@ class BatchFleet(ClosedLoop):
 # ----------------------------------------------------------------------
 class LongTrajectory(ClosedLoop):
     """Per-sequence ``odd-even`` on one paper §5.2 problem (n=6, fixed
-    random orthonormal F and G, k=2000) on a 2-worker
-    ``ThreadPoolBackend``.
+    random orthonormal F and G, k=2000), measured on the serial backend
+    and, in the traced run, on a 2-worker ``ThreadPoolBackend``.
 
-    A call is timed in the CPU time of all its threads, like every
-    closed-loop call: on a shared 2-vCPU machine its wall time drifted
-    by 25% within half an hour.  The wall-clock scaling is
-    ``parallel.speedup_2w``, from the traced run, which also times the
-    serial backend."""
+    The end-to-end figures time the serial backend: on a shared 2-vCPU
+    machine the CPU time of the 2-worker call moved from run to run by
+    15% after scaling to reference speed (17% unscaled), because the
+    single-threaded reference does not track what slows two threads
+    handing work and the interpreter lock to each other.  The traced run
+    times both backends on the wall clock for ``parallel.speedup_2w``
+    and traces the 2-worker calls for the parallel layer's figures."""
 
     name = "long-trajectory"
     K, N = 2000, 6
     SEQS, STATES = 1, K + 1
+    REF_ROUNDS = 2
     #: calls per backend the traced run times on the wall clock for
     #: ``parallel.speedup_2w``
     WALL_CALLS = 3
@@ -310,7 +340,7 @@ class LongTrajectory(ClosedLoop):
         self.F = _orthonormal(rng, self.N)
         self.G = _orthonormal(rng, self.N)
         self.o = rng.standard_normal((self.K + 1, self.N))
-        self.mode = "2w"
+        self.mode = "serial"
 
     def build(self) -> StateSpaceProblem:
         n, F, G, o = self.N, self.F, self.G, self.o
@@ -362,60 +392,83 @@ class LongTrajectory(ClosedLoop):
         self.call()
 
     def observe(self):
-        # The speed-up is a ratio of wall times.
+        from tracing import Tracer, summarize
+
+        # The speed-up is a ratio of wall times, taken untraced.
         self.CLOCK = time.perf_counter
         walls = {}
+        tracer = Tracer()
         try:
             for mode in ("2w", "serial"):
                 self.mode = mode
                 times = [self.call() for _ in range(self.WALL_CALLS)]
                 walls[mode] = statistics.median(t for t in times if t)
-        finally:
             self.mode = "2w"
+            tracer.wrap_pool_map(repro.ThreadPoolBackend)
+            for _ in range(self.WALL_CALLS):
+                self.call(tracer)
+        finally:
+            tracer.restore()
+            self.mode = "serial"
             del self.CLOCK
-        return {"parallel.speedup_2w": walls["serial"] / walls["2w"]}
+        pooled = summarize(tracer.spans)["parallel.map"]
+        return {
+            "parallel.speedup_2w": walls["serial"] / walls["2w"],
+            "parallel.map_s": pooled["total"] / self.WALL_CALLS,
+            "parallel.map_calls": tracer.counts["parallel.map_calls"]
+            / self.WALL_CALLS,
+            "parallel.tasks": tracer.counts["parallel.tasks"]
+            / self.WALL_CALLS,
+        }
 
 
 # ----------------------------------------------------------------------
 # ipls-fleet
 # ----------------------------------------------------------------------
 class IplsFleet(ClosedLoop):
-    """``ipls`` ``smooth_many`` on 16 pendulum problems with k=40, in
-    an order drawn from the seed."""
+    """``ipls`` ``smooth_many`` on 16 pendulum problems with k=40, a
+    quarter of the fleet per call, in an order drawn from the seed.
+
+    A request is the whole fleet: four consecutive calls, one per
+    quarter.  A call on the whole fleet took about 11 s, too long for
+    the reference computation timed on each side of it to track how
+    fast the host ran during it."""
 
     name = "ipls-fleet"
-    FLEET, K = 16, 40
+    FLEET, K, QUARTER = 16, 40, 4
+    CYCLE = FLEET // QUARTER
     SEQS, STATES = FLEET, FLEET * (K + 1)
     #: outer iterations of pendulum problems 0-15 (they sum to 232)
     ITERATIONS = (12, 9, 20, 20, 17, 21, 18, 9, 12, 17, 12, 22, 12, 12, 10, 9)
-    #: a call takes about 11 s: a warm-up call would cost as much as a
-    #: second measured one, which steadies the median more.  The first
-    #: call also builds the stacked-solve plans, about 2% of a call.
-    MIN_CALLS = 2
+    #: three whole fleets, the most that fit the run budget
+    MIN_CALLS = 3 * CYCLE
+    REF_ROUNDS = 2
 
     def __init__(self, seed, seconds):
         super().__init__()
         # The fleet is the ROADMAP's 16 pendulum problems (generator
-        # seeds 0-15); the command-line seed only orders it.  Each
-        # problem's iteration count sets the work, and fleets drawn per
-        # seed differ by about 15% in call time, which would swamp the
-        # run-to-run comparison.
-        seeds = np.random.default_rng([seed, 3]).permutation(self.FLEET)
-        self.iterations = [self.ITERATIONS[s] for s in seeds]
-        self.raw = []
-        for s in seeds:
-            problem, _ = pendulum_problem(self.K, seed=int(s))
-            self.raw.append(
-                {
-                    "evo": problem.steps[1].evolution_fn,
-                    "q": problem.steps[1].evolution_cov,
-                    "obs": problem.steps[0].observation_fn,
-                    "r": problem.steps[0].observation_cov,
-                    "o": np.array([st.observation for st in problem.steps]),
-                    "m0": problem.prior.mean,
-                    "P0": problem.prior.cov_matrix(),
-                }
-            )
+        # seeds 0-15), in fixed quarters (seeds 0-3, 4-7, ...); the
+        # command-line seed only orders the quarters and each quarter.
+        # Each problem's iteration count sets the work, and fleets
+        # drawn per seed differ by about 15% in call time, which would
+        # swamp the run-to-run comparison.
+        rng = np.random.default_rng([seed, 3])
+        self.quarters = [
+            [int(q * self.QUARTER + i) for i in rng.permutation(self.QUARTER)]
+            for q in rng.permutation(self.CYCLE)
+        ]
+        self.raw = {}
+        for s in range(self.FLEET):
+            problem, _ = pendulum_problem(self.K, seed=s)
+            self.raw[s] = {
+                "evo": problem.steps[1].evolution_fn,
+                "q": problem.steps[1].evolution_cov,
+                "obs": problem.steps[0].observation_fn,
+                "r": problem.steps[0].observation_cov,
+                "o": np.array([st.observation for st in problem.steps]),
+                "m0": problem.prior.mean,
+                "P0": problem.prior.cov_matrix(),
+            }
 
     def build(self, raw: dict) -> NonlinearProblem:
         steps = [
@@ -437,31 +490,36 @@ class IplsFleet(ClosedLoop):
         self.smoother = repro.make_smoother("ipls")
 
     def cold_call(self):
-        # A cold call on the whole fleet takes as long as a warm one
-        # (about 11 s); three of them per run would not fit the run
-        # budget, so set-up smooths the fleet's first problem.
-        self.smoother.smooth_many([self.build(self.raw[0])])
+        # A cold call on a quarter takes as long as a warm one (about
+        # 3 s); set-up smooths one problem, to keep three set-ups per
+        # run within the run budget.
+        first = self.quarters[0][0]
+        self.smoother.smooth_many([self.build(self.raw[first])])
 
     def warm(self):
+        # No warm-up call: its 3 s buy more as measured calls.  The
+        # first measured call also builds the stacked-solve plans,
+        # which adds about 0.5% to the first fleet.
         pass
 
     def request(self, n, tracer):
+        quarter = self.quarters[n % self.CYCLE]
         with _span(tracer, "model.build"):
-            problems = [self.build(raw) for raw in self.raw]
+            problems = [self.build(self.raw[s]) for s in quarter]
         with _span(tracer, "nonlinear.smooth_many"):
             return self.smoother.smooth_many(problems)
 
     def check(self, results, n):
+        quarter = self.quarters[n % self.CYCLE]
+        expected = [self.ITERATIONS[s] for s in quarter]
         iterations = [int(r.diagnostics["iterations"]) for r in results]
         if not all(finite(r) for r in results):
             self.fail(f"call {n}: non-finite output")
-        elif iterations != self.iterations:
-            self.fail(
-                f"call {n}: iterations {iterations} != {self.iterations}"
-            )
+        elif iterations != expected:
+            self.fail(f"call {n}: iterations {iterations} != {expected}")
 
     def observe(self):
-        return {"nonlinear.outer_iterations": sum(self.iterations)}
+        return {"nonlinear.outer_iterations": sum(self.ITERATIONS)}
 
 
 # ----------------------------------------------------------------------
@@ -483,6 +541,9 @@ class ServeOpen(Workload):
     SLO = 0.050
     #: measured seconds of the untimed warm-up drive
     WARM_S = 2.0
+    #: share of a reference round timed right after each flushing call
+    #: (about 2 ms, against a flush of about 5 ms)
+    REF_SIZE = 0.01
 
     def __init__(self, seed, seconds):
         super().__init__()
@@ -581,7 +642,7 @@ class ServeOpen(Workload):
         sent = np.zeros((S, T), dtype=bool)
         sent[:, :lag] = True
         emitted = np.zeros((S, T), dtype=np.int64)
-        latencies, waits, late, flush_calls = [], [], [], []
+        latencies, waits, late, flush_calls, refs = [], [], [], [], []
         delivered = nonfinite = 0
         idle = 0.0
         total = self._arrivals(seconds)
@@ -593,7 +654,8 @@ class ServeOpen(Workload):
 
         def call(fn, *args):
             """One call into the server; a flushing call's CPU time
-            is recorded (see ``ClosedLoop.CLOCK``)."""
+            is recorded (see ``ClosedLoop.CLOCK``), and then a small
+            reference computation's (see ``reference.py``)."""
             nonlocal flush_start
             before = flushes.value
             start, cpu = clock(), time.process_time()
@@ -601,6 +663,8 @@ class ServeOpen(Workload):
             cpu, end = time.process_time() - cpu, clock()
             if flushes.value != before:
                 flush_calls.append(cpu)
+                with _span(tracer, "bench.reference"):
+                    refs.append(reference_seconds(size=self.REF_SIZE))
                 flush_start = start
             return out, end
 
@@ -693,10 +757,15 @@ class ServeOpen(Workload):
         measured = sched >= t_measure
         # Each measured arrival makes the state ``lag`` steps back due.
         expected = int(np.sum(measured))
+        ratios = [c / r for c, r in zip(flush_calls, refs)]
         return {
             "times": flush_calls,
-            "metrics": {
+            "unscaled": {
                 "call_p50_ms": statistics.median(flush_calls) * 1e3,
+                "ref_ms": statistics.median(refs) * 1e3,
+            },
+            "metrics": {
+                "call_p50_ms": REF_S * statistics.median(ratios) * 1e3,
                 "seq_per_s": (solved.value - solved_at_measure) / window,
                 "states_per_s": int(np.sum((emitted == 1) & measured))
                 / window,
