@@ -179,6 +179,33 @@ class Whitener:
         """Whitener for covariance ``stddev^2 * I``."""
         return cls(kind="scaled_identity", dim=dim, scale=stddev)
 
+    @classmethod
+    def from_factors(
+        cls, factors: np.ndarray, what: str = "covariance"
+    ) -> list["Whitener"]:
+        """Factor-form whiteners for a ``(B, n, n)`` stack of factors.
+
+        Equal to ``[Whitener(f, kind="factor", what=what) for f in
+        factors]``, with the positive-diagonal check and the
+        lower-triangle copy done once for the whole stack.
+        """
+        factors = as_working_dtype(np.asarray(factors))
+        if factors.ndim != 3 or factors.shape[1] != factors.shape[2]:
+            raise ValueError("factors must be a (B, n, n) stack")
+        if np.any(np.diagonal(factors, axis1=1, axis2=2) <= 0):
+            raise np.linalg.LinAlgError(
+                f"{what} factor must have positive diagonal"
+            )
+        out = []
+        for factor in np.tril(factors):
+            whitener = cls.__new__(cls)
+            whitener.kind = "factor"
+            whitener.what = what
+            whitener.dim = factor.shape[0]
+            whitener._factor = factor
+            out.append(whitener)
+        return out
+
     @property
     def is_unit(self) -> bool:
         """Whether whitening is a no-op (unit covariance)."""

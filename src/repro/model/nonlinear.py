@@ -29,10 +29,15 @@ bearings-only tunnel, cubic sensor).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Protocol, runtime_checkable
+from typing import Callable, Protocol, Sequence, runtime_checkable
 
 import numpy as np
+from scipy.linalg import cholesky as _cholesky
 
+from ..linalg.cholesky import Whitener, spd_cholesky, stack_whiten_prepared
+from ..linalg.flops import cholesky_flops
+from ..linalg.triangular import as_working_dtype
+from ..parallel.tally import add_cost
 from .problem import StateSpaceProblem
 from .steps import Evolution, GaussianPrior, Observation, Step, _as_cov_whitener
 
@@ -230,26 +235,96 @@ class SigmaPointLinearizer:
         omega = _psd_clip(p_yy - f @ p_xy)
         return LinearizedFn(F=f, c=ybar - f @ mean, omega=omega)
 
+    def linearize_stack(
+        self,
+        fns: list[NonlinearFunction],
+        means: np.ndarray,
+        covs: np.ndarray | None,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`linearize` for ``B`` equal-shape slices at once.
+
+        ``fns[b]`` is regressed against ``N(means[b], covs[b])``
+        (``means`` is ``(B, n)``, ``covs`` ``(B, n, n)``); returns the
+        stacked ``(F, c, omega)``.  Only the model functions are called
+        point by point; sigma points, moments, the regression and the
+        residual covariance are batched, with the Cholesky→eigen,
+        ``solve``→``lstsq`` and PSD-clip fallbacks of :meth:`linearize`
+        applied to the failing slices only.  Slice ``b`` agrees with
+        ``linearize(fns[b], means[b], covs[b])`` to roundoff.
+        """
+        if covs is None:
+            raise ValueError(
+                "sigma-point linearization regresses against a density "
+                "N(mean, cov): pass the marginal covariances (IPLS "
+                "threads the current smoothed covariances here)"
+            )
+        means = np.asarray(means, dtype=float)
+        batch, n = means.shape
+        lam, w_mean, w_cov = self.weights(n)
+        roots = _psd_sqrt(
+            (n + lam) * _symmetrize(np.asarray(covs, dtype=float))
+        )
+        offsets = np.swapaxes(roots, 1, 2)
+        points = np.empty((batch, 2 * n + 1, n))
+        points[:, 0] = means
+        points[:, 1 : n + 1] = means[:, None, :] + offsets
+        points[:, n + 1 :] = means[:, None, :] - offsets
+        ys = np.stack([fn(p) for fn, pts in zip(fns, points) for p in pts])
+        ys = ys.reshape(batch, 2 * n + 1, -1)
+        ybar = w_mean @ ys
+        dx = points - means[:, None, :]
+        dy = ys - ybar[:, None, :]
+        wdx = np.swapaxes(dx * w_cov[:, None], 1, 2)
+        p_xx = wdx @ dx
+        p_xy = wdx @ dy
+        p_yy = np.swapaxes(dy * w_cov[:, None], 1, 2) @ dy
+        try:
+            f = np.swapaxes(np.linalg.solve(_symmetrize(p_xx), p_xy), 1, 2)
+        except np.linalg.LinAlgError:
+            f = np.empty((batch, p_xy.shape[2], n))
+            for b in range(batch):
+                try:
+                    f[b] = np.linalg.solve(_symmetrize(p_xx[b]), p_xy[b]).T
+                except np.linalg.LinAlgError:
+                    f[b] = np.linalg.lstsq(p_xx[b], p_xy[b], rcond=None)[0].T
+        omega = _psd_clip(p_yy - f @ p_xy)
+        c = ybar - (f @ means[:, :, None])[:, :, 0]
+        return f, c, omega
+
 
 def _symmetrize(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.T)
+    return 0.5 * (a + np.swapaxes(a, -1, -2))
 
 
 def _psd_sqrt(a: np.ndarray) -> np.ndarray:
     """A square root ``S`` with ``S S^T = a`` (lower Cholesky when PD,
-    eigenvalue-clipped symmetric root otherwise)."""
+    eigenvalue-clipped symmetric root otherwise).  On a ``(B, n, n)``
+    stack one batched Cholesky serves every PD slice; the eigen root
+    replaces only the slices it fails on."""
     try:
         return np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
+        if a.ndim > 2:
+            return np.stack([_psd_sqrt(s) for s in a])
         vals, vecs = np.linalg.eigh(a)
         return vecs * np.sqrt(np.clip(vals, 0.0, None))
 
 
 def _psd_clip(a: np.ndarray) -> np.ndarray:
-    """Project a nearly-PSD matrix onto the PSD cone (roundoff guard)."""
+    """Project a nearly-PSD matrix onto the PSD cone (roundoff guard).
+
+    Accepts a ``(B, m, m)`` stack: one batched ``eigh`` finds the
+    slices with a negative eigenvalue, and only those are projected.
+    """
     a = _symmetrize(a)
     vals, vecs = np.linalg.eigh(a)
-    if vals.size == 0 or vals[0] >= 0.0:
+    if vals.size == 0:
+        return a
+    if a.ndim > 2:
+        for b in np.flatnonzero(vals[:, 0] < 0.0):
+            a[b] = _psd_clip(a[b])
+        return a
+    if vals[0] >= 0.0:
         return a
     return _symmetrize((vecs * np.clip(vals, 0.0, None)) @ vecs.T)
 
@@ -258,20 +333,69 @@ def _cast(a: np.ndarray, dtype) -> np.ndarray:
     return np.asarray(a, dtype=float if dtype is None else dtype)
 
 
-def _linearized_noise(cov, rows: int, omega, dtype, what: str):
-    """The step noise for a linearized equation.
+def _linearize_group(lin, fns, states, covs):
+    """Stacked ``(F, c, omega)`` of ``fns[b]`` around ``states[b]``.
 
-    Point linearizations (``omega is None``) pass the model covariance
-    through untouched — scalar / ``Whitener`` / ``None`` forms
-    included — so the Jacobian path stays bit-identical to the legacy
-    behavior.  Statistical linearizations materialize it and add the
-    SLR residual covariance.  ``dtype`` casts any materialized matrix.
+    Linearizers with a ``linearize_stack`` entry (the sigma-point one)
+    take the whole group in one pass; any other :class:`Linearizer` is
+    called point by point and its outputs stacked.  ``omega`` is
+    ``None`` when no slice carries one; otherwise slices without one
+    contribute zeros.
     """
-    if omega is not None:
-        cov = _as_cov_whitener(cov, rows, what).covariance() + omega
-    if dtype is not None and isinstance(cov, np.ndarray):
-        cov = np.asarray(cov, dtype=dtype)
-    return cov
+    stacked = getattr(lin, "linearize_stack", None)
+    if stacked is not None:
+        cov_stack = None
+        if covs is not None:
+            cov_stack = np.stack([np.asarray(c, dtype=float) for c in covs])
+        return stacked(fns, np.stack(states), cov_stack)
+    if covs is None:
+        covs = [None] * len(fns)
+    parts = [lin.linearize(fn, x, c) for fn, x, c in zip(fns, states, covs)]
+    omega = None
+    if any(p.omega is not None for p in parts):
+        omega = np.stack(
+            [
+                np.zeros((len(p.c),) * 2) if p.omega is None else p.omega
+                for p in parts
+            ]
+        )
+    return (
+        np.stack([p.F for p in parts]),
+        np.stack([p.c for p in parts]),
+        omega,
+    )
+
+
+def _factor_whiteners(total: np.ndarray, steps, what: str) -> list[Whitener]:
+    """Factor-form whiteners for a ``(B, m, m)`` stack of covariances.
+
+    One vectorized symmetry check and one batched Cholesky validate
+    the whole stack, with the tolerances of
+    :func:`~repro.linalg.cholesky.spd_cholesky`; when either fails, the
+    slices are re-run through ``spd_cholesky`` so the error names the
+    offending step.
+    """
+    total = as_working_dtype(total)
+    factors = None
+    if np.allclose(total, np.swapaxes(total, 1, 2), rtol=1e-10, atol=1e-12):
+        # numpy's single-precision Cholesky rounds differently from the
+        # scipy LAPACK behind spd_cholesky; float32 stacks take scipy's
+        # (slower, looped) batched form so their factors stay identical
+        # to the per-step ones.
+        try:
+            if total.dtype == np.float64:
+                factors = np.linalg.cholesky(total)
+            else:
+                factors = _cholesky(total, lower=True, check_finite=False)
+        except np.linalg.LinAlgError:
+            pass
+    if factors is None:
+        factors = np.stack(
+            [spd_cholesky(t, f"step {i} {what}") for t, i in zip(total, steps)]
+        )
+    else:
+        add_cost(len(steps) * cholesky_flops(total.shape[1]))
+    return Whitener.from_factors(factors, what)
 
 
 @dataclass
@@ -292,8 +416,220 @@ class NonlinearStep:
     observation_cov: np.ndarray | None = None
 
 
+_EVOLUTION, _OBSERVATION = 0, 1
+
+
+@dataclass(frozen=True)
+class _EquationGroup:
+    """The equations of one kind whose shapes agree, stacked.
+
+    Slice ``b`` is the equation of step ``steps[b]``; its function
+    ``fns[b]`` reads state ``inputs[b]`` (the previous state for an
+    evolution, the step's own for an observation).  ``offset`` stacks
+    the constant terms (``c`` for evolutions, the observation vectors
+    for observations), ``raw_covs`` the noise covariances as given,
+    ``whiteners`` their validated :class:`Whitener` s (or the error
+    validation raised), ``cov`` the covariances those materialize, and
+    ``factors``/``scales`` the operands of
+    :func:`~repro.linalg.cholesky.stack_whiten_prepared` (``cov`` and
+    both operands are ``None`` when any noise covariance failed).
+    """
+
+    kind: int
+    what: str
+    steps: np.ndarray
+    inputs: tuple[int, ...]
+    fns: tuple
+    offset: np.ndarray
+    raw_covs: tuple
+    whiteners: tuple[Whitener, ...]
+    cov: np.ndarray
+    factors: np.ndarray | None
+    scales: np.ndarray | None
+
+
+class _ModelView:
+    """The validated, stacked view of a :class:`NonlinearProblem`.
+
+    Built once per problem: the equations grouped by shape with their
+    constant terms, observations and noise covariances stacked; one
+    vectorized finiteness check over the data; the model noise
+    covariances validated into :class:`Whitener` s (shared by steps
+    that share a covariance array) and materialized once.  Every
+    linearization and objective evaluation then works on these stacks
+    instead of re-validating each step.
+
+    Noise covariances that fail validation do not fail construction
+    — the extended Kalman filter runs on semidefinite noise — but the
+    least-squares formulation needs them nonsingular, so
+    :meth:`check_noise` re-raises the first failure, naming its step.
+    """
+
+    _FIELDS = {
+        _EVOLUTION: ("c", "evolution_cov", "evolution covariance K"),
+        _OBSERVATION: (
+            "observation", "observation_cov", "observation covariance L"
+        ),
+    }
+
+    def __init__(self, steps, prior):
+        members: dict[tuple, list[tuple]] = {}
+        for i, s in enumerate(steps):
+            if i > 0:
+                c = np.zeros(s.state_dim) if s.c is None else s.c
+                members.setdefault(
+                    (_EVOLUTION, steps[i - 1].state_dim, s.state_dim), []
+                ).append((i, i - 1, s.evolution_fn, c, s.evolution_cov))
+            if s.observation_fn is not None and s.observation is not None:
+                o = np.atleast_1d(np.asarray(s.observation, dtype=float))
+                members.setdefault(
+                    (_OBSERVATION, s.state_dim, o.shape[0]), []
+                ).append((i, i, s.observation_fn, o, s.observation_cov))
+        self._noise_errors: list[tuple[int, Exception]] = []
+        self._memo: dict[tuple, Whitener] = {}
+        bad: list[tuple[int, str]] = []
+        groups = []
+        for (kind, _, rows), entries in members.items():
+            groups.append(self._group(kind, rows, entries, bad))
+        if prior is not None and not np.all(np.isfinite(prior.mean)):
+            bad.append((0, "prior mean"))
+        if bad:
+            step, field = min(bad)
+            raise ValueError(
+                f"step {step} {field} has non-finite entries; the "
+                "model data must be finite"
+            )
+        self.groups = tuple(groups)
+
+    def _group(self, kind, rows, entries, bad) -> _EquationGroup:
+        field, cov_field, what = self._FIELDS[kind]
+        steps = np.array([e[0] for e in entries], dtype=np.intp)
+        vectors = [np.atleast_1d(np.asarray(e[3], dtype=float)) for e in entries]
+        for (i, *_), v in zip(entries, vectors):
+            if v.shape != (rows,):
+                raise ValueError(
+                    f"step {i} {field} has shape {v.shape}, expected ({rows},)"
+                )
+        offset = np.stack(vectors)
+        finite = np.isfinite(offset).all(axis=1)
+        bad.extend((int(i), field) for i in steps[~finite])
+        arrays = []
+        for i, *_, cov in entries:
+            if cov is None or np.isscalar(cov) or isinstance(cov, Whitener):
+                continue
+            shape = np.shape(cov)
+            if shape != (rows, rows):
+                raise ValueError(
+                    f"step {i} {cov_field} has shape {shape}, expected "
+                    f"({rows}, {rows})"
+                )
+            arrays.append((i, cov))
+        if arrays:
+            finite = np.isfinite(np.stack([a for _, a in arrays])).all(
+                axis=(1, 2)
+            )
+            bad.extend(
+                (i, cov_field) for (i, _), ok in zip(arrays, finite) if not ok
+            )
+        whiteners = tuple(
+            self._whitener(e[4], rows, what, e[0]) for e in entries
+        )
+        self._noise_errors.extend(
+            (i, w) for i, w in zip(steps, whiteners) if isinstance(w, Exception)
+        )
+        cov = factors = scales = None
+        if not self._noise_errors:
+            cov = np.stack([w.covariance() for w in whiteners]).astype(float)
+            if all(w.kind in ("identity", "scaled_identity") for w in whiteners):
+                scales = np.array([w.scale for w in whiteners])
+            else:
+                factors = np.stack([w.factor_matrix() for w in whiteners])
+        return _EquationGroup(
+            kind=kind,
+            what=what,
+            steps=steps,
+            inputs=tuple(e[1] for e in entries),
+            fns=tuple(e[2] for e in entries),
+            offset=offset,
+            raw_covs=tuple(e[4] for e in entries),
+            whiteners=whiteners,
+            cov=cov,
+            factors=factors,
+            scales=scales,
+        )
+
+    def _whitener(self, cov, rows: int, what: str, step: int, dtype=None):
+        """The validated whitener of one model covariance, or the
+        exception (naming ``step``) its validation raised.  Array
+        covariances are memoized by identity, so steps sharing one
+        share its factorization."""
+        key = None
+        if isinstance(cov, np.ndarray):
+            key = (id(cov), what, dtype)
+            if key in self._memo:
+                return self._memo[key]
+            if dtype is not None:
+                cov = np.asarray(cov, dtype=dtype)
+        try:
+            whitener = _as_cov_whitener(cov, rows, what)
+        except ValueError as exc:
+            whitener = type(exc)(f"step {step}: {exc}")
+        if key is not None:
+            self._memo[key] = whitener
+        return whitener
+
+    def check_noise(self) -> None:
+        if self._noise_errors:
+            _, exc = min(self._noise_errors, key=lambda e: e[0])
+            raise exc.with_traceback(None)
+
+    def model_whiteners(self, g: int, dtype) -> tuple[Whitener, ...]:
+        """Group ``g``'s model whiteners for linearizing in ``dtype``.
+
+        A working dtype re-factors the covariance arrays stored in
+        another dtype (once per problem, through the memo), exactly as
+        constructing the linearized :class:`Evolution`/
+        :class:`Observation` from the cast matrices would.
+        """
+        group = self.groups[g]
+        if dtype is None:
+            return group.whiteners
+        dtype = np.dtype(dtype)
+        whiteners = tuple(
+            self._whitener(raw, w.dim, group.what, int(i), dtype)
+            if isinstance(raw, np.ndarray) and raw.dtype != dtype
+            else w
+            for raw, w, i in zip(group.raw_covs, group.whiteners, group.steps)
+        )
+        for w in whiteners:
+            if isinstance(w, Exception):
+                raise w.with_traceback(None)
+        return whiteners
+
+    def noise(self, g: int, omega, dtype) -> Sequence[Whitener]:
+        """Group ``g``'s linearized noise whiteners.
+
+        Point linearizations (``omega is None``) keep the model
+        whiteners.  Statistical ones add ``omega`` to the model
+        covariances and validate the sums as one stack.
+        """
+        if omega is None:
+            return self.model_whiteners(g, dtype)
+        group = self.groups[g]
+        total = group.cov + omega
+        if dtype is not None:
+            total = np.asarray(total, dtype=dtype)
+        return _factor_whiteners(total, group.steps, group.what)
+
+
 class NonlinearProblem:
-    """A nonlinear estimation problem (``H_i = I`` throughout)."""
+    """A nonlinear estimation problem (``H_i = I`` throughout).
+
+    ``steps`` is a tuple: construction validates and stacks the model
+    once (see :class:`_ModelView`), so the steps are fixed from then
+    on.  Non-finite observations, constant terms or noise covariances
+    raise a ``ValueError`` naming the step and field.
+    """
 
     def __init__(
         self, steps: list[NonlinearStep], prior: GaussianPrior | None = None
@@ -305,8 +641,9 @@ class NonlinearProblem:
         for i, s in enumerate(steps[1:], start=1):
             if s.evolution_fn is None:
                 raise ValueError(f"step {i} is missing its evolution function")
-        self.steps = steps
+        self.steps = tuple(steps)
         self.prior = prior
+        self._view = _ModelView(self.steps, prior)
 
     @property
     def k(self) -> int:
@@ -342,6 +679,12 @@ class NonlinearProblem:
         (``EstimatorConfig(dtype=...).solve_dtype``) so the
         mixed-precision batched path is not silently defeated by
         float64 inputs.
+
+        The equations are linearized one equal-shape group at a time
+        (:meth:`SigmaPointLinearizer.linearize_stack`); only the model
+        functions are called per point.  Point linearizations keep the
+        model's validated whiteners; statistical ones validate the
+        inflated covariances ``K + omega``/``L + omega`` as one stack.
         """
         if len(trajectory) != len(self.steps):
             raise ValueError(
@@ -360,37 +703,34 @@ class NonlinearProblem:
                 "covariances; pass covariances= (IPLS threads the "
                 "current smoothed covariances automatically)"
             )
-        out: list[Step] = []
-        for i, s in enumerate(self.steps):
-            u0 = np.asarray(trajectory[i], dtype=float)
-            cov_i = None if covariances is None else covariances[i]
-            evo = None
-            if i > 0 and s.evolution_fn is not None:
-                uprev = np.asarray(trajectory[i - 1], dtype=float)
-                cov_prev = None if covariances is None else covariances[i - 1]
-                lf = lin.linearize(s.evolution_fn, uprev, cov_prev)
-                c = s.c if s.c is not None else np.zeros(s.state_dim)
-                evo = Evolution(
-                    F=_cast(lf.F, dtype),
-                    c=_cast(c + lf.c, dtype),
-                    K=_linearized_noise(
-                        s.evolution_cov, s.state_dim, lf.omega, dtype,
-                        "evolution covariance K",
-                    ),
-                )
-            obs = None
-            if s.observation_fn is not None and s.observation is not None:
-                lf = lin.linearize(s.observation_fn, u0, cov_i)
-                o = np.asarray(s.observation, dtype=float)
-                obs = Observation(
-                    G=_cast(lf.F, dtype),
-                    o=_cast(o - lf.c, dtype),
-                    L=_linearized_noise(
-                        s.observation_cov, o.shape[0], lf.omega, dtype,
-                        "observation covariance L",
-                    ),
-                )
-            out.append(Step(state_dim=s.state_dim, evolution=evo, observation=obs))
+        view = self._view
+        view.check_noise()
+        states = [np.asarray(x, dtype=float) for x in trajectory]
+        evo: list[Evolution | None] = [None] * len(self.steps)
+        obs: list[Observation | None] = [None] * len(self.steps)
+        for g, group in enumerate(view.groups):
+            f, c, omega = _linearize_group(
+                lin,
+                group.fns,
+                [states[j] for j in group.inputs],
+                None
+                if covariances is None
+                else [covariances[j] for j in group.inputs],
+            )
+            noise = view.noise(g, omega, dtype)
+            f = _cast(f, dtype)
+            if group.kind == _EVOLUTION:
+                c = _cast(group.offset + c, dtype)
+                for b, i in enumerate(group.steps):
+                    evo[i] = Evolution(F=f[b], c=c[b], K=noise[b])
+            else:
+                o = _cast(group.offset - c, dtype)
+                for b, i in enumerate(group.steps):
+                    obs[i] = Observation(G=f[b], o=o[b], L=noise[b])
+        out = [
+            Step(state_dim=s.state_dim, evolution=evo[i], observation=obs[i])
+            for i, s in enumerate(self.steps)
+        ]
         prior = self.prior
         if dtype is not None and prior is not None:
             prior = GaussianPrior(
@@ -400,28 +740,42 @@ class NonlinearProblem:
         return StateSpaceProblem(out, prior=prior)
 
     def objective(self, trajectory: list[np.ndarray]) -> float:
-        """The nonlinear generalized least-squares objective (paper eq. 4)."""
+        """The nonlinear generalized least-squares objective (paper eq. 4).
+
+        Residuals are whitened one equal-shape group at a time; the
+        per-equation terms are summed in step order (evolution before
+        observation), as a per-step loop would.
+        """
+        view = self._view
+        view.check_noise()
         total = 0.0
         if self.prior is not None:
             r = self.prior.cov.whiten(
                 np.asarray(trajectory[0], dtype=float) - self.prior.mean
             )
             total += float(r @ r)
-        for i, s in enumerate(self.steps):
-            u = np.asarray(trajectory[i], dtype=float)
-            if i > 0 and s.evolution_fn is not None:
-                c = s.c if s.c is not None else np.zeros(s.state_dim)
-                resid = u - s.evolution_fn(trajectory[i - 1]) - c
-                white = Evolution(
-                    F=np.eye(s.state_dim), K=s.evolution_cov
-                ).K.whiten(resid)
-                total += float(white @ white)
-            if s.observation_fn is not None and s.observation is not None:
-                resid = s.observation - s.observation_fn(u)
-                white = Observation(
-                    G=np.eye(len(resid)), o=resid, L=s.observation_cov
-                ).L.whiten(resid)
-                total += float(white @ white)
+        terms = np.zeros((len(self.steps), 2))
+        for group in view.groups:
+            pred = np.stack(
+                [
+                    fn(np.asarray(trajectory[j], dtype=float))
+                    for fn, j in zip(group.fns, group.inputs)
+                ]
+            )
+            if group.kind == _EVOLUTION:
+                u = np.stack(
+                    [np.asarray(trajectory[i], dtype=float) for i in group.steps]
+                )
+                resid = u - pred - group.offset
+            else:
+                resid = group.offset - pred
+            white = stack_whiten_prepared(
+                resid[:, :, None], group.factors, group.scales
+            )[:, :, 0]
+            terms[group.steps, group.kind] = np.einsum("br,br->b", white, white)
+        # A plain loop, not sum(): Python >= 3.12 compensates float sums.
+        for term in terms.ravel().tolist():
+            total += term
         return total
 
 

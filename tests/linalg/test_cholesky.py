@@ -70,6 +70,25 @@ class TestWhitener:
         with pytest.raises(np.linalg.LinAlgError, match="positive diagonal"):
             Whitener(np.array([[0.0, 0.0], [1.0, 1.0]]), kind="factor")
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_from_factors_equals_per_slice_construction(self, dtype):
+        factors = np.stack(
+            [np.linalg.cholesky(spd(3, seed=s)) for s in range(4)]
+        ).astype(dtype)
+        factors[:, 0, 2] = 7.0  # the upper triangle is ignored
+        x = np.arange(6.0).reshape(3, 2)
+        for a, f in zip(Whitener.from_factors(factors, "K"), factors):
+            b = Whitener(f, kind="factor", what="K")
+            assert (a.kind, a.what, a.dim) == (b.kind, b.what, b.dim)
+            assert a.factor_matrix().dtype == b.factor_matrix().dtype
+            assert np.array_equal(a.factor_matrix(), b.factor_matrix())
+            assert np.array_equal(a.whiten(x), b.whiten(x))
+
+    def test_from_factors_rejects_bad_diagonal(self):
+        factors = np.stack([np.eye(2), np.diag([1.0, 0.0])])
+        with pytest.raises(np.linalg.LinAlgError, match="positive diagonal"):
+            Whitener.from_factors(factors)
+
     def test_dim_mismatch_raises(self):
         w = Whitener(spd(3))
         with pytest.raises(ValueError, match="cannot whiten"):

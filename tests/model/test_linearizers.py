@@ -12,16 +12,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.linalg.cholesky import Whitener
 from repro.model.nonlinear import (
     JacobianLinearizer,
     LinearizedFn,
     Linearizer,
     NonlinearFunction,
     SigmaPointLinearizer,
+    _psd_clip,
     bearings_only_tunnel_problem,
+    coordinated_turn_problem,
     cubic_sensor_problem,
     pendulum_problem,
 )
+from repro.model.steps import Evolution, Observation, Step
 
 
 def affine_fn(A, b):
@@ -244,3 +248,206 @@ class TestScenarios:
         )
         assert np.all(np.isfinite(lf.F))
         assert np.all(np.linalg.eigvalsh(lf.omega) >= -1e-12)
+
+
+# ----------------------------------------------------------------------
+# Stacked pass vs the per-step oracle
+# ----------------------------------------------------------------------
+def per_step_oracle(problem, traj, lin, covs, dtype):
+    """The linearized problem assembled one step at a time from the
+    single-point ``lin.linearize`` — the reference the stacked
+    ``NonlinearProblem.linearize`` must reproduce."""
+    def cast(a):
+        return np.asarray(a, dtype=float if dtype is None else dtype)
+
+    def noise(cov, omega):
+        if omega is None:
+            return cov if dtype is None else cast(cov)
+        return cast(Whitener(np.asarray(cov)).covariance() + omega)
+
+    steps = []
+    for i, s in enumerate(problem.steps):
+        evo = obs = None
+        if i > 0:
+            lf = lin.linearize(
+                s.evolution_fn,
+                np.asarray(traj[i - 1], dtype=float),
+                None if covs is None else covs[i - 1],
+            )
+            c = s.c if s.c is not None else np.zeros(s.state_dim)
+            evo = Evolution(
+                F=cast(lf.F),
+                c=cast(c + lf.c),
+                K=noise(s.evolution_cov, lf.omega),
+            )
+        lf = lin.linearize(
+            s.observation_fn,
+            np.asarray(traj[i], dtype=float),
+            None if covs is None else covs[i],
+        )
+        o = np.asarray(s.observation, dtype=float)
+        obs = Observation(
+            G=cast(lf.F),
+            o=cast(o - lf.c),
+            L=noise(s.observation_cov, lf.omega),
+        )
+        steps.append(Step(state_dim=s.state_dim, evolution=evo, observation=obs))
+    return steps
+
+
+def assert_steps_agree(stacked, oracle, atol=1e-12):
+    assert len(stacked) == len(oracle)
+    for i, (a, b) in enumerate(zip(stacked, oracle)):
+        pairs = []
+        if b.evolution is not None:
+            ea, eb = a.evolution, b.evolution
+            pairs += [
+                (ea.F, eb.F), (ea.c, eb.c),
+                (ea.K.factor_matrix(), eb.K.factor_matrix()),
+            ]
+        ob, oa = b.observation, a.observation
+        pairs += [
+            (oa.G, ob.G), (oa.o, ob.o),
+            (oa.L.factor_matrix(), ob.L.factor_matrix()),
+        ]
+        for x, y in pairs:
+            assert x.dtype == y.dtype, i
+            np.testing.assert_allclose(x, y, rtol=0, atol=atol, err_msg=f"step {i}")
+
+
+SCENARIOS = [
+    pendulum_problem,
+    coordinated_turn_problem,
+    bearings_only_tunnel_problem,
+    cubic_sensor_problem,
+]
+
+
+def perturbed(gen, k=25, seed=1):
+    problem, truth = gen(k, seed=seed)
+    rng = np.random.default_rng(seed)
+    traj = [t + 0.05 * rng.standard_normal(t.shape) for t in truth]
+    covs = []
+    for t in truth:
+        a = rng.standard_normal((t.size, t.size))
+        covs.append(0.02 * a @ a.T + 0.01 * np.eye(t.size))
+    return problem, traj, covs
+
+
+class TestStackedAgreesWithPerStep:
+    @pytest.mark.parametrize("dtype", [None, np.float32])
+    @pytest.mark.parametrize(
+        "lin", [JacobianLinearizer(), SigmaPointLinearizer()],
+        ids=["jacobian", "sigma-point"],
+    )
+    @pytest.mark.parametrize("gen", SCENARIOS, ids=lambda g: g.__name__)
+    def test_matches_oracle(self, gen, lin, dtype):
+        problem, traj, covs = perturbed(gen)
+        stacked = problem.linearize(
+            traj, linearizer=lin, covariances=covs, dtype=dtype
+        )
+        assert_steps_agree(
+            stacked.steps, per_step_oracle(problem, traj, lin, covs, dtype)
+        )
+
+    def test_jacobian_path_is_bit_identical(self):
+        problem, traj, _ = perturbed(pendulum_problem)
+        stacked = problem.linearize(traj)
+        assert_steps_agree(
+            stacked.steps,
+            per_step_oracle(problem, traj, JacobianLinearizer(), None, None),
+            atol=0.0,
+        )
+
+    def test_foreign_linearizer_with_mixed_omegas(self):
+        """A protocol linearizer without a stacked entry is called point
+        by point; a slice without ``omega`` counts as a zero residual
+        covariance when others in its group carry one."""
+
+        class Alternating:
+            name = "alternating"
+            needs_covariance = True
+
+            def linearize(self, fn, mean, cov=None):
+                lf = SigmaPointLinearizer().linearize(fn, mean, cov)
+                keep = float(np.sum(mean)) > 0.5
+                return LinearizedFn(lf.F, lf.c, lf.omega if keep else None)
+
+        problem, traj, covs = perturbed(pendulum_problem)
+        lin = Alternating()
+        assert isinstance(lin, Linearizer)
+        stacked = problem.linearize(traj, linearizer=lin, covariances=covs)
+        assert_steps_agree(
+            stacked.steps, per_step_oracle(problem, traj, lin, covs, None)
+        )
+
+
+class TestStackedBranches:
+    """Hand-built slices for the per-slice fallbacks of the stacked
+    sigma-point pass."""
+
+    def fns(self, batch):
+        problem, _ = pendulum_problem(k=2, seed=0)
+        return [problem.steps[1].evolution_fn] * batch
+
+    def check_slices(self, lin, fns, means, covs):
+        f, c, omega = lin.linearize_stack(fns, means, covs)
+        for b in range(len(fns)):
+            lf = lin.linearize(fns[b], means[b], covs[b])
+            np.testing.assert_allclose(f[b], lf.F, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(c[b], lf.c, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(omega[b], lf.omega, rtol=0, atol=1e-12)
+
+    def test_singular_marginal_takes_eigen_and_lstsq_fallbacks(
+        self, monkeypatch
+    ):
+        calls = {"eigh": 0, "lstsq": 0}
+        for name in calls:
+            original = getattr(np.linalg, name)
+
+            def spy(a, *args, _original=original, _name=name, **kwargs):
+                # count the per-slice (2-D) calls only
+                calls[_name] += np.ndim(a) == 2
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, spy)
+        means = np.array([[0.3, -0.1], [1.0, 0.5], [-0.4, 0.2]])
+        covs = np.stack(
+            [0.2 * np.eye(2), np.diag([0.3, 0.0]), [[0.5, 0.1], [0.1, 0.4]]]
+        )
+        lin = SigmaPointLinearizer()
+        lin.linearize_stack(self.fns(3), means, covs)
+        # The singular slice alone takes the eigen root and the lstsq
+        # regression (its residual covariance may also need the clip).
+        assert calls["lstsq"] == 1
+        assert calls["eigh"] >= 1
+        self.check_slices(lin, self.fns(3), means, covs)
+
+    def test_negative_eigenvalue_clip_per_slice(self):
+        rng = np.random.default_rng(3)
+        psd = rng.standard_normal((3, 3))
+        psd = psd @ psd.T
+        indefinite = np.diag([1.0, -1e-3, 2.0])
+        stack = np.stack([psd, indefinite, psd])
+        clipped = _psd_clip(stack.copy())
+        np.testing.assert_array_equal(clipped[0], _psd_clip(psd))
+        np.testing.assert_array_equal(clipped[1], _psd_clip(indefinite))
+        assert np.linalg.eigvalsh(clipped[1]).min() >= 0.0
+        np.testing.assert_array_equal(clipped[2], psd)
+
+    def test_affine_slices_match_oracle(self):
+        """Affine maps leave a roundoff-level residual covariance,
+        which the clip guards; the stacked pass still matches the
+        single-point oracle slice for slice."""
+        rng = np.random.default_rng(11)
+        batch, n, m = 6, 3, 2
+        fns = [
+            affine_fn(rng.normal(size=(m, n)), rng.normal(size=m))
+            for _ in range(batch)
+        ]
+        means = rng.normal(size=(batch, n))
+        roots = rng.normal(size=(batch, n, n))
+        covs = roots @ np.swapaxes(roots, 1, 2) + 0.1 * np.eye(n)
+        self.check_slices(
+            SigmaPointLinearizer(alpha=0.5, beta=2.0), fns, means, covs
+        )

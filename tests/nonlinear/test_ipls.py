@@ -12,6 +12,7 @@ import pytest
 
 from repro.api import EstimatorConfig
 from repro.kalman.paige_saunders import PaigeSaundersSmoother
+from repro.linalg.cholesky import Whitener
 from repro.model.generators import random_problem
 from repro.model.nonlinear import (
     JacobianLinearizer,
@@ -273,3 +274,32 @@ class TestConfiguration:
         IteratedPosteriorLinearizationSmoother().smooth(problem)
         hist = obs.get_registry().histogram("repro_ipls_iterations")
         assert hist.count == 1
+
+
+class TestStackedLinearizationCost:
+    def test_no_covariance_whitener_built_after_construction(
+        self, monkeypatch
+    ):
+        """The model noise is validated once, at construction; the
+        iterations only wrap already-factored covariances."""
+        problem, _ = pendulum_problem(k=20, seed=0)
+        built = []
+        original = Whitener.__init__
+
+        def counting(self, *args, kind="covariance", **kwargs):
+            built.append(kind)
+            original(self, *args, kind=kind, **kwargs)
+
+        monkeypatch.setattr(Whitener, "__init__", counting)
+        result = IteratedPosteriorLinearizationSmoother().smooth(problem)
+        assert result.diagnostics["iterations"] > 1
+        assert built.count("covariance") == 0
+
+    def test_pendulum_iteration_counts_pinned(self):
+        """The per-problem counts the benchmark's ipls fleet checks."""
+        problems = [pendulum_problem(k=40, seed=s)[0] for s in range(4)]
+        results = IteratedPosteriorLinearizationSmoother().smooth_many(
+            problems
+        )
+        counts = tuple(r.diagnostics["iterations"] for r in results)
+        assert counts == (12, 9, 20, 20)
