@@ -1,12 +1,15 @@
 """Shared configuration for the figure-regeneration benchmarks.
 
 Each benchmark module regenerates one paper artifact (figure or table),
-prints the paper-style series, persists JSON under ``results/``, and
-times a representative unit of the pipeline with pytest-benchmark.
+prints the paper-style series, persists JSON to a per-session scratch
+directory, and times a representative unit of the pipeline with
+pytest-benchmark.  ``python -m repro.bench.figures`` regenerates the
+committed ``results/``.
 
-Sizes here are laptop-scaled (see DESIGN.md §2 and
-``repro.bench.workloads``); set ``REPRO_PAPER_SCALE=1`` for the paper's
-exact sizes (hours of runtime).
+Sizes here are laptop-scaled (see ``repro.bench.workloads``): the
+figures simulate multicore scaling from recorded task graphs, standing
+in for the paper's 36–64-core servers.  Set ``REPRO_PAPER_SCALE=1`` for
+the paper's exact sizes (hours of runtime).
 """
 
 from __future__ import annotations
@@ -29,6 +32,20 @@ BENCH_WORKLOADS = {
         paper_block_size=1,
     ),
 }
+
+
+@pytest.fixture(scope="session")
+def scratch_results_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("results")
+
+
+@pytest.fixture(autouse=True)
+def _save_results_to_scratch(monkeypatch, scratch_results_dir):
+    """Point ``save_results`` at the session's scratch directory, so a
+    benchmark run never rewrites the committed ``results/``."""
+    import repro.bench.harness as harness
+
+    monkeypatch.setattr(harness, "results_dir", lambda: scratch_results_dir)
 
 
 @pytest.fixture(scope="session")

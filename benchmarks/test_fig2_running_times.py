@@ -4,8 +4,9 @@ Four panels: {Graviton3, Gold-6238R} x {n=6, n=48}.  Sequential
 variants (Paige–Saunders, Paige–Saunders NC, Kalman/RTS) are flat
 lines; the parallel variants (Odd-Even, Odd-Even NC, Associative)
 descend with core count.  Times are simulated seconds on the recorded
-task graphs (DESIGN.md §2); shapes — who wins, single-core overhead,
-Intel stagnation — are the reproduction targets, not absolute seconds.
+task graphs, standing in for the paper's 36–64-core servers; shapes —
+who wins, single-core overhead, Intel stagnation — are the
+reproduction targets, not absolute seconds.
 """
 
 import pytest

@@ -4,8 +4,9 @@ Paper shape (Graviton3): the n=48 workload scales somewhat better than
 n=6 (better computation-to-communication ratio); the n=500, k=500 run
 scales worst — not enough steps to feed 64 cores ("insufficient
 parallelism").  The n=500 configuration is dimension-reduced by default
-(DESIGN.md §2): the starvation effect is controlled by k and the task
-counts per level, both preserved.
+(the figures simulate scaling from recorded task graphs, standing in for
+the paper's 36–64-core servers): the starvation effect is controlled by
+k and the task counts per level, both preserved.
 """
 
 import pytest

@@ -11,22 +11,15 @@ This package is that front-end for the whole repository:
   single resolution path;
 * :class:`Smoother` / :class:`SmootherBase` — the protocol and ABC
   giving every algorithm the canonical ``smooth`` / ``smooth_many``
-  surface (with deprecation shims for the old per-call kwargs);
+  surface, with options passed only through ``config=``;
 * :class:`Capabilities` — per-algorithm functionality flags (paper
   §6's table as data), enforced at call time;
 * :class:`SmootherRegistry` / :func:`make_smoother` /
-  :func:`register_smoother` — the extensible catalog superseding the
-  hand-maintained ``ALL_SMOOTHERS`` dict.
+  :func:`register_smoother` — the extensible catalog of every
+  algorithm.
 """
 
-from .base import (
-    Capabilities,
-    Smoother,
-    SmootherBase,
-    call_smoother,
-    call_smoother_many,
-    warn_deprecated,
-)
+from .base import Capabilities, Smoother, SmootherBase
 from .config import EstimatorConfig, ServingConfig
 from .registry import (
     SmootherRegistry,
@@ -47,13 +40,10 @@ __all__ = [
     "SmootherBase",
     "SmootherRegistry",
     "SmootherSpec",
-    "call_smoother",
-    "call_smoother_many",
     "coerce_smoother",
     "default_registry",
     "make_smoother",
     "register_smoother",
     "registered_smoothers",
     "smoother_spec",
-    "warn_deprecated",
 ]

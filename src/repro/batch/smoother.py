@@ -258,19 +258,6 @@ class BatchSmoother(SmootherBase):
                 f"unknown batch method {method!r}; "
                 "expected 'odd-even' or 'associative'"
             )
-        if method == "associative" and not compute_covariance:
-            # Historical leniency: the associative scans carry
-            # covariances intrinsically, so the flag never had an
-            # effect on this method.
-            from ..api import warn_deprecated
-
-            warn_deprecated(
-                "compute_covariance=False has no effect with the "
-                "associative method (capability supports_nc=False) and "
-                "is deprecated; a per-call EstimatorConfig request "
-                "already raises"
-            )
-            compute_covariance = True
         if refine_steps < 0:
             raise ValueError(
                 f"refine_steps must be >= 0, got {refine_steps}"
@@ -293,6 +280,9 @@ class BatchSmoother(SmootherBase):
                 supports_array_module=True,
             )
         )
+        # Constructor options obey the same capability checks as a
+        # per-call config (the associative scans cannot skip covariances).
+        self._resolve(None, EstimatorConfig())
 
     @property
     def default_config(self) -> EstimatorConfig:
@@ -303,13 +293,11 @@ class BatchSmoother(SmootherBase):
     def smooth_many(
         self,
         problems: list[StateSpaceProblem],
-        backend: Backend | None = None,
         *,
         config: EstimatorConfig | None = None,
     ) -> list[SmootherResult]:
         """Smooth every problem in stacked buckets, caller's order."""
-        config, legacy = self._shim_legacy(backend, None, config)
-        resolved = self._resolve(None, config, legacy=legacy)
+        resolved = self._resolve(None, config or EstimatorConfig())
         return [
             _cast_result(r, resolved.output_dtype)
             for r in self._smooth_workload(list(problems), resolved)

@@ -18,9 +18,9 @@ stability the §6 stability contrast (QR vs normal equations)
 All return plain data structures; ``main()`` renders them as
 paper-style ASCII tables and persists JSON under ``results/``.
 The machine-time axis is *simulated seconds* on the recorded task
-graph (DESIGN.md §2 explains the substitution); single-core *real*
-seconds for the sequential algorithms are reported by the overhead
-table, which is wall-clock.
+graph, which stands in for the paper's 36-64-core servers; single-core
+*real* seconds for the sequential algorithms are reported by the
+overhead table, which is wall-clock.
 """
 
 from __future__ import annotations

@@ -35,8 +35,7 @@ class RTSSmoother(SmootherBase):
     on them (paper §5.4), so there is no NC variant —
     ``capabilities.supports_nc`` is ``False`` and requesting
     ``compute_covariance=False`` through an
-    :class:`~repro.api.EstimatorConfig` raises; only the deprecated
-    legacy kwarg retains the old hide-only behavior.
+    :class:`~repro.api.EstimatorConfig` raises.
     """
 
     name = "kalman-rts"

@@ -29,13 +29,7 @@ import dataclasses
 
 import numpy as np
 
-from ..api import (
-    Capabilities,
-    EstimatorConfig,
-    SmootherBase,
-    call_smoother,
-    coerce_smoother,
-)
+from ..api import Capabilities, EstimatorConfig, SmootherBase, coerce_smoother
 from ..core.smoother import OddEvenSmoother
 from ..errors import UnobservableStateError
 from ..linalg.cholesky import whiten_packed
@@ -352,8 +346,7 @@ class UltimateKalman:
         ):
             request, hide = None, True
         try:
-            result = call_smoother(
-                self._smoother,
+            result = self._smoother.smooth(
                 self.problem(),
                 config=EstimatorConfig(
                     backend=backend,

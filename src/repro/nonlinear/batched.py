@@ -5,7 +5,7 @@ have the same outer shape: linearize every problem at its current
 iterate, solve the linear problems, absorb the solutions, repeat until
 convergence.  Run over a workload of N problems, the naive form issues
 N separate inner solves per outer iteration; this driver regroups them
-so each outer iteration is ONE ``call_smoother_many`` on a batched
+so each outer iteration is ONE ``smooth_many`` call on a batched
 inner smoother — the linearized problems of every not-yet-converged
 problem go through the stacked, plan-cached
 :class:`~repro.batch.BatchSmoother` kernels together, and the
@@ -19,6 +19,9 @@ batch size, slice ``j`` of a workload of N is *bit-identical* to
 running problem ``j`` alone through the same driver — which is exactly
 how the IPLS ``smooth`` is implemented (a workload of one), so its
 ``smooth_many`` is bit-for-bit the per-problem loop.
+
+:func:`smooth_many_batched` is the ``smooth_many`` the three smoothers
+share: it resolves the config per problem and runs the driver.
 
 The algorithm-specific hooks live on the smoother classes:
 
@@ -50,10 +53,16 @@ from typing import Any
 import numpy as np
 
 from .. import obs
-from ..api import EstimatorConfig, call_smoother_many
+from ..api import EstimatorConfig
+from ..api.base import _cast_result
 from ..model.nonlinear import NonlinearProblem, as_nonlinear
 
-__all__ = ["IterateState", "drive_batched", "linearize_dtype"]
+__all__ = [
+    "IterateState",
+    "drive_batched",
+    "linearize_dtype",
+    "smooth_many_batched",
+]
 
 
 def linearize_dtype(config: EstimatorConfig):
@@ -127,14 +136,13 @@ def drive_batched(
             break
         with reg.span("repro_nonlinear_iteration", smoother=owner.name):
             linears = [owner._batch_emit(s, config) for s in active]
-            results = call_smoother_many(inner, linears, config=inner_config)
+            results = inner.smooth_many(linears, config=inner_config)
         for state, result in zip(active, results):
             state.iterations += 1
             owner._batch_absorb(state, result, config)
     covariances: list = [None] * len(states)
     if config.compute_covariance and owner._batch_final_cov_pass():
-        finals = call_smoother_many(
-            inner,
+        finals = inner.smooth_many(
             [owner._batch_emit_final(s, config) for s in states],
             config=inner_config.replace(compute_covariance=True),
         )
@@ -142,4 +150,29 @@ def drive_batched(
     return [
         owner._batch_result(state, cov, config)
         for state, cov in zip(states, covariances)
+    ]
+
+
+def smooth_many_batched(
+    self, problems, *, config: EstimatorConfig | None = None
+) -> list:
+    """``smooth_many`` of the iterated smoothers: one stacked inner
+    solve per outer iteration over the whole workload.
+
+    Every problem is resolved (and capability-checked) under
+    ``config``; result ``j`` is bit-identical to running problem ``j``
+    alone through :func:`drive_batched`, since the stacked kernels are
+    slice-exact in the batch size and every damping/convergence
+    decision is per-problem.
+    """
+    config = config or EstimatorConfig()
+    problems = list(problems)
+    if not problems:
+        return []
+    resolved = self._resolve(problems[0], config)
+    for p in problems[1:]:
+        self._resolve(p, config)
+    return [
+        _cast_result(r, resolved.output_dtype)
+        for r in drive_batched(self, problems, resolved)
     ]

@@ -30,11 +30,14 @@ import numpy as np
 
 from .. import obs
 from ..api import Capabilities, EstimatorConfig, SmootherBase, coerce_smoother
-from ..api.base import _cast_result
 from ..kalman.result import SmootherResult
 from ..model.nonlinear import Linearizer, SigmaPointLinearizer
-from ..parallel.backend import Backend
-from .batched import IterateState, drive_batched, linearize_dtype
+from .batched import (
+    IterateState,
+    drive_batched,
+    linearize_dtype,
+    smooth_many_batched,
+)
 from .ekf import extended_kalman_filter
 from .gauss_newton import _inner_nc
 
@@ -113,32 +116,7 @@ class IteratedPosteriorLinearizationSmoother(SmootherBase):
         self.obj_tol = obj_tol
         self.damping = damping
 
-    def smooth_many(
-        self,
-        problems,
-        backend: Backend | None = None,
-        *,
-        config: EstimatorConfig | None = None,
-    ) -> list[SmootherResult]:
-        """One stacked inner solve per outer iteration over the fleet.
-
-        Bit-identical to ``[self.smooth(p) for p in problems]`` — the
-        stacked kernels are slice-exact in the batch size and every
-        damping/convergence decision is per-problem — but the
-        linearized problems of all active (non-converged) problems
-        share each iteration's plan-cached batched solve.
-        """
-        config, _legacy = self._shim_legacy(backend, None, config)
-        problems = list(problems)
-        if not problems:
-            return []
-        resolved = self._resolve(problems[0], config)
-        for p in problems[1:]:
-            self._resolve(p, config)
-        return [
-            _cast_result(r, resolved.output_dtype)
-            for r in drive_batched(self, problems, resolved)
-        ]
+    smooth_many = smooth_many_batched
 
     def _smooth(
         self,

@@ -19,21 +19,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..api import (
-    Capabilities,
-    EstimatorConfig,
-    SmootherBase,
-    call_smoother,
-    coerce_smoother,
-)
+from ..api import Capabilities, EstimatorConfig, SmootherBase, coerce_smoother
 from ..core.smoother import OddEvenSmoother
 from ..kalman.result import SmootherResult
-from ..model.nonlinear import NonlinearProblem, as_nonlinear
+from ..model.nonlinear import as_nonlinear
 from ..model.problem import StateSpaceProblem
 from ..model.steps import Observation, Step
-from ..parallel.backend import Backend
+from .batched import IterateState, linearize_dtype, smooth_many_batched
 from .ekf import extended_kalman_filter
-from .gauss_newton import _inner_nc, _shim_positional_initial
+from .gauss_newton import _inner_nc
 
 __all__ = ["LevenbergMarquardtSmoother", "damp_problem", "LMTrace"]
 
@@ -140,42 +134,6 @@ class LevenbergMarquardtSmoother(SmootherBase):
         self.lambda_down = lambda_down
         self.max_lambda = max_lambda
 
-    def smooth(
-        self,
-        problem,
-        backend: Backend | None = None,
-        *args,
-        compute_covariance: bool | None = None,
-        config: EstimatorConfig | None = None,
-        initial: list[np.ndarray] | None = None,
-    ) -> SmootherResult:
-        compute_covariance, initial, legacy = _shim_positional_initial(
-            type(self).__name__, args, compute_covariance, initial
-        )
-        if legacy:
-            # Already warned once with the right message; route through
-            # config so the base shim does not warn a second time.
-            if config is not None:
-                raise TypeError(
-                    "pass either the deprecated positional form or "
-                    "config=, not both"
-                )
-            return super().smooth(
-                problem,
-                config=EstimatorConfig(
-                    backend=backend,
-                    compute_covariance=compute_covariance,
-                ),
-                initial=initial,
-            )
-        return super().smooth(
-            problem,
-            backend,
-            compute_covariance,
-            config=config,
-            initial=initial,
-        )
-
     def _smooth(
         self,
         problem,
@@ -200,9 +158,7 @@ class LevenbergMarquardtSmoother(SmootherBase):
         for _ in range(self.max_iterations):
             linear = problem.linearize(trajectory)
             damped = damp_problem(linear, trajectory, lam)
-            candidate = call_smoother(
-                self.inner, damped, config=inner_config
-            ).means
+            candidate = self.inner.smooth(damped, config=inner_config).means
             new_obj = problem.objective(candidate)
             if new_obj <= current_obj:
                 step_norm = np.sqrt(
@@ -236,8 +192,7 @@ class LevenbergMarquardtSmoother(SmootherBase):
         covariances = None
         if config.compute_covariance:
             linear = problem.linearize(trajectory)
-            final = call_smoother(
-                self.inner,
+            final = self.inner.smooth(
                 linear,
                 config=EstimatorConfig(
                     backend=config.backend, compute_covariance=True
@@ -257,33 +212,7 @@ class LevenbergMarquardtSmoother(SmootherBase):
             },
         )
 
-    def smooth_many(
-        self,
-        problems,
-        backend: Backend | None = None,
-        *,
-        config: EstimatorConfig | None = None,
-    ) -> list[SmootherResult]:
-        """Batched LM: one stacked damped solve per outer iteration.
-
-        Each problem keeps its own damping schedule and accept/reject
-        decisions; only the inner linear solves are stacked (see
-        :func:`~repro.nonlinear.batched.drive_batched`).
-        """
-        from ..api.base import _cast_result
-        from .batched import drive_batched
-
-        config, _legacy = self._shim_legacy(backend, None, config)
-        problems = list(problems)
-        if not problems:
-            return []
-        resolved = self._resolve(problems[0], config)
-        for p in problems[1:]:
-            self._resolve(p, config)
-        return [
-            _cast_result(r, resolved.output_dtype)
-            for r in drive_batched(self, problems, resolved)
-        ]
+    smooth_many = smooth_many_batched
 
     # ------------------------------------------------------------------
     # drive_batched hooks (see repro.nonlinear.batched)
@@ -295,8 +224,6 @@ class LevenbergMarquardtSmoother(SmootherBase):
         return True
 
     def _batch_begin(self, problem, config, initial):
-        from .batched import IterateState
-
         trajectory = (
             [np.asarray(x, dtype=float) for x in initial]
             if initial is not None
@@ -311,16 +238,12 @@ class LevenbergMarquardtSmoother(SmootherBase):
         return state
 
     def _batch_emit(self, state, config):
-        from .batched import linearize_dtype
-
         linear = state.problem.linearize(
             state.trajectory, dtype=linearize_dtype(config)
         )
         return damp_problem(linear, state.trajectory, state.extra["lam"])
 
     def _batch_emit_final(self, state, config):
-        from .batched import linearize_dtype
-
         return state.problem.linearize(
             state.trajectory, dtype=linearize_dtype(config)
         )

@@ -19,8 +19,9 @@ parallel algorithm in which those calls are replaced by plain C loops
     Runs the computation numerically *once* while recording a
     :class:`~repro.parallel.task_graph.TaskGraph` with per-task
     flop/byte costs; the discrete-event scheduler then replays the
-    graph on a modeled server with any number of cores.  This is the
-    substitution for the paper's 36-64 core servers (see DESIGN.md §2).
+    graph on a modeled server with any number of cores.  Simulated
+    scaling from recorded task graphs stands in for the paper's 36-64
+    core servers.
 
 All backends share the blocking semantics of TBB: a ``parallel_for``
 over ``n`` items with block size ``b`` creates ``ceil(n / b)`` tasks of

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import obs
-from ..api import EstimatorConfig, call_smoother_many, coerce_smoother
+from ..api import EstimatorConfig, coerce_smoother
 from ..batch import BatchSmoother
 from ..errors import ReorderBufferFullError, UnobservableStateError
 from ..model.steps import Evolution, Observation
@@ -92,9 +92,8 @@ class StreamServer:
     smoother:
         The batch engine for flushes; defaults to
         :class:`~repro.batch.BatchSmoother` (stacked odd-even
-        kernels).  Accepts any :class:`~repro.api.Smoother`, a
-        registered name for :func:`~repro.api.make_smoother`, or a
-        legacy object exposing ``smooth_many(problems, backend)``.
+        kernels).  Accepts any :class:`~repro.api.Smoother` or a
+        registered name for :func:`~repro.api.make_smoother`.
     backend:
         Optional :class:`~repro.parallel.backend.Backend` the batch
         engine dispatches its heavy phases through (e.g.
@@ -408,8 +407,7 @@ class StreamServer:
             ]
             try:
                 with self._registry.span("repro_stream_flush_solve"):
-                    results = call_smoother_many(
-                        self._smoother,
+                    results = self._smoother.smooth_many(
                         problems,
                         config=EstimatorConfig(
                             backend=self._backend,

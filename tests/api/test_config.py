@@ -1,6 +1,8 @@
-"""EstimatorConfig: replace/merge/resolve semantics and dtype casting."""
+"""EstimatorConfig: replace/merge/resolve semantics, dtype casting, and
+the config path through first-party compositions."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -108,3 +110,128 @@ class TestDtype:
         problem = repro.random_problem(k=4, seed=0, dims=2)
         result = repro.OddEvenSmoother().smooth(problem)
         assert all(m.dtype == np.float64 for m in result.means)
+
+    def test_uncastable_result_raises(self):
+        """A dtype request on a result without SmootherResult arrays
+        cannot be honored and must not be dropped silently."""
+
+        class Opaque(repro.SmootherBase):
+            def _smooth(self, problem, config):
+                return object()
+
+        problem = repro.random_problem(k=4, seed=0, dims=2)
+        with pytest.raises(ValueError, match="cannot honor"):
+            Opaque().smooth(
+                problem, config=EstimatorConfig(dtype=np.float32)
+            )
+
+
+class TestUltimateBackendThreading:
+    def test_config_backend_reaches_the_batch_smooth(self):
+        problem = repro.random_problem(k=5, seed=7, dims=2)
+        backend = repro.RecordingBackend()
+        repro.make_smoother("ultimate").smooth(
+            problem, config=EstimatorConfig(backend=backend)
+        )
+        assert backend.graph.n_tasks > 0
+
+
+class TestInternalNCRequests:
+    """NC requests a composition generates itself never trip the
+    capability check of an inner that cannot skip covariances."""
+
+    def test_conventional_inner_still_accepted_by_nonlinear(self):
+        nl, _truth = repro.pendulum_problem(k=8, seed=2)
+        result = repro.GaussNewtonSmoother(inner=repro.RTSSmoother()).smooth(
+            nl, config=EstimatorConfig(compute_covariance=False)
+        )
+        assert result.diagnostics["converged"]
+
+    def test_ultimate_kalman_nc_with_conventional_inner(self):
+        """UltimateKalman.smooth(compute_covariance=False) with a
+        non-NC inner hides the covariances the inner computes."""
+        problem = repro.random_problem(k=5, seed=4, dims=2)
+        kalman = repro.UltimateKalman(
+            2,
+            prior=(problem.prior.mean, problem.prior.cov_matrix()),
+            smoother=repro.RTSSmoother(),
+        )
+        for i, step in enumerate(problem.steps):
+            if i:
+                kalman.evolve_step(step.evolution)
+            if step.observation is not None:
+                kalman.observe_step(step.observation)
+        result = kalman.smooth(compute_covariance=False)
+        assert result.covariances is None
+
+
+def _run_without_deprecations(fn):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        return fn()
+
+
+class TestCanonicalPathIsClean:
+    def test_smooth_with_config(self):
+        problem = repro.random_problem(k=5, seed=7, dims=2)
+        _run_without_deprecations(
+            lambda: repro.OddEvenSmoother().smooth(
+                problem,
+                config=EstimatorConfig(
+                    backend=SerialBackend(), compute_covariance=False
+                ),
+            )
+        )
+
+    def test_smooth_many_with_config(self):
+        problem = repro.random_problem(k=5, seed=7, dims=2)
+        _run_without_deprecations(
+            lambda: repro.BatchSmoother().smooth_many(
+                [problem], config=EstimatorConfig(backend=SerialBackend())
+            )
+        )
+
+    def test_first_party_compositions_are_clean(self):
+        """UltimateKalman, solve_window, stream serving and the
+        nonlinear smoothers run warning-free on the config path."""
+        problem = repro.random_problem(k=5, seed=7, dims=2)
+
+        def run():
+            smoother = repro.make_smoother("ultimate")
+            smoother.smooth(
+                problem, config=EstimatorConfig(compute_covariance=False)
+            )
+            repro.solve_window(problem, compute_covariance=False)
+            nl, _truth = repro.pendulum_problem(k=8, seed=0)
+            repro.GaussNewtonSmoother().smooth(
+                nl, config=EstimatorConfig(compute_covariance=False)
+            )
+            repro.LevenbergMarquardtSmoother().smooth(
+                nl, config=EstimatorConfig(compute_covariance=False)
+            )
+            server = repro.StreamServer(2)
+            server.open_stream("s", 2, prior=(np.zeros(2), np.eye(2)))
+            for seq, step in enumerate(problem.steps):
+                server.submit(
+                    "s",
+                    repro.StreamStep(
+                        seq=seq,
+                        evolution=step.evolution,
+                        observation=step.observation,
+                    ),
+                )
+                server.flush()
+            server.close_stream("s")
+
+        _run_without_deprecations(run)
+
+
+class TestAdmitsProblemKind:
+    def test_nonlinear_problem_needs_iterative_smoother(self):
+        nl, _truth = repro.pendulum_problem(k=4, seed=0)
+        assert repro.smoother_spec("odd-even").capabilities.admits(nl)
+        assert repro.smoother_spec("kalman-rts").capabilities.admits(nl)
+        assert (
+            repro.smoother_spec("gauss-newton").capabilities.admits(nl)
+            is None
+        )

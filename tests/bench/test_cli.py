@@ -5,6 +5,16 @@ import pytest
 from repro.bench import figures
 
 
+@pytest.fixture(autouse=True)
+def _save_results_to_scratch(monkeypatch, tmp_path_factory):
+    """Point ``save_results`` at a scratch directory, so running the CLI
+    here never rewrites the committed ``results/``."""
+    import repro.bench.harness as harness
+
+    scratch = tmp_path_factory.mktemp("results")
+    monkeypatch.setattr(harness, "results_dir", lambda: scratch)
+
+
 class TestMain:
     def test_fig1(self, capsys):
         figures.main("fig1")

@@ -5,9 +5,7 @@ import pytest
 
 from repro.core.smoother import OddEvenSmoother
 from repro.errors import UnobservableStateError
-from repro.kalman.associative import AssociativeSmoother
 from repro.kalman.paige_saunders import PaigeSaundersSmoother
-from repro.kalman.rts import RTSSmoother
 from repro.kalman.ultimate import UltimateKalman
 from repro.model.generators import random_problem
 from repro.model.nonlinear import (
@@ -19,14 +17,6 @@ from repro.model.problem import StateSpaceProblem
 from repro.model.steps import Evolution, GaussianPrior, Observation, Step
 from repro.nonlinear.ekf import extended_kalman_filter
 from repro.stream import FixedLagSmoother
-
-ALL_SMOOTHERS = [
-    OddEvenSmoother(),
-    PaigeSaundersSmoother(),
-    RTSSmoother(),
-    AssociativeSmoother(),
-]
-
 
 class TestSingularCovariances:
     """§6: the QR-based smoothers require nonsingular K_i/L_i and must

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import EstimatorConfig
 from repro.core.smoother import OddEvenSmoother
 from repro.kalman.paige_saunders import PaigeSaundersSmoother
 from repro.model.dense import dense_solve
@@ -84,14 +85,14 @@ class TestConfigurations:
         objective trace on the batch where full GN steps stall."""
         problem, _ = pendulum_problem(k=30, seed=4)
         ls = GaussNewtonSmoother(line_search=True, max_iterations=40).smooth(
-            problem, compute_covariance=False
+            problem, config=EstimatorConfig(compute_covariance=False)
         )
         objectives = ls.diagnostics["trace"].objectives
         assert all(
             b <= a + 1e-9 for a, b in zip(objectives, objectives[1:])
         )
         plain = GaussNewtonSmoother(max_iterations=40).smooth(
-            problem, compute_covariance=False
+            problem, config=EstimatorConfig(compute_covariance=False)
         )
         assert ls.residual_sq <= plain.residual_sq + 1e-6
 
@@ -110,17 +111,17 @@ class TestConfigurations:
 
         problem, _ = pendulum_problem(k=30, seed=4)
         gn = GaussNewtonSmoother(max_iterations=20).smooth(
-            problem, compute_covariance=False
+            problem, config=EstimatorConfig(compute_covariance=False)
         )
         lm = LevenbergMarquardtSmoother().smooth(
-            problem, compute_covariance=False
+            problem, config=EstimatorConfig(compute_covariance=False)
         )
         assert lm.residual_sq <= gn.residual_sq + 1e-9
 
     def test_skip_covariances(self):
         problem, _ = pendulum_problem(k=20, seed=5)
         result = GaussNewtonSmoother().smooth(
-            problem, compute_covariance=False
+            problem, config=EstimatorConfig(compute_covariance=False)
         )
         assert result.covariances is None
 

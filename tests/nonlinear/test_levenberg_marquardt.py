@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import EstimatorConfig
 from repro.model.dense import dense_solve
 from repro.model.generators import random_problem
 from repro.model.nonlinear import coordinated_turn_problem, pendulum_problem
@@ -86,17 +87,11 @@ class TestLMSolver:
         class SpyInner:
             name = "spy"
 
-            def smooth(self, problem, backend=None, compute_covariance=True):
+            def smooth(self, problem, *, config=None):
                 from repro.core.smoother import OddEvenSmoother
 
-                if compute_covariance:
-                    calls["cov"] += 1
-                else:
-                    calls["nc"] += 1
-                return OddEvenSmoother(compute_covariance).smooth(
-                    problem, backend=backend,
-                    compute_covariance=compute_covariance,
-                )
+                calls["nc" if config.compute_covariance is False else "cov"] += 1
+                return OddEvenSmoother().smooth(problem, config=config)
 
         problem, _ = pendulum_problem(k=30, seed=9)
         LevenbergMarquardtSmoother(inner=SpyInner()).smooth(problem)
@@ -106,6 +101,6 @@ class TestLMSolver:
     def test_skip_final_covariance(self):
         problem, _ = pendulum_problem(k=20, seed=10)
         result = LevenbergMarquardtSmoother().smooth(
-            problem, compute_covariance=False
+            problem, config=EstimatorConfig(compute_covariance=False)
         )
         assert result.covariances is None

@@ -19,8 +19,6 @@ EXPECTED_ALL = [
     "SmootherBase",
     "SmootherRegistry",
     "SmootherSpec",
-    "call_smoother",
-    "call_smoother_many",
     "default_registry",
     "make_smoother",
     "register_smoother",
@@ -127,17 +125,55 @@ def test_every_export_resolves(name):
 
 
 def test_star_import_is_warning_free():
-    """The deprecated ALL_SMOOTHERS alias is reachable by attribute
-    but excluded from __all__, so `from repro import *` stays clean
-    under -W error::DeprecationWarning."""
+    """`from repro import *` stays clean under
+    -W error::DeprecationWarning."""
     import warnings
 
-    assert "ALL_SMOOTHERS" not in repro.__all__
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
         namespace: dict = {}
         exec("from repro import *", namespace)
     assert "OddEvenSmoother" in namespace
+
+
+def _legacy_helpers_unexported():
+    import repro.api
+
+    for name in ("call_smoother", "call_smoother_many", "warn_deprecated"):
+        assert name not in repro.__all__
+        assert name not in repro.api.__all__
+
+
+def _all_smoothers_alias_gone():
+    with pytest.raises(AttributeError):
+        repro.ALL_SMOOTHERS
+
+
+def _positional_backend_rejected():
+    problem = repro.random_problem(k=3, seed=0, dims=2)
+    with pytest.raises(TypeError):
+        repro.make_smoother("odd-even").smooth(problem, repro.SerialBackend())
+
+
+def _associative_nc_constructor_rejected():
+    with pytest.raises(ValueError, match="supports_nc"):
+        repro.BatchSmoother("associative", compute_covariance=False)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        _legacy_helpers_unexported,
+        _all_smoothers_alias_gone,
+        _positional_backend_rejected,
+        _associative_nc_constructor_rejected,
+    ],
+    ids=lambda check: check.__name__.strip("_"),
+)
+def test_legacy_api_surface_removed(check):
+    """Options reach an engine only through ``config=``; the
+    pre-``repro.api`` names and call shapes raise."""
+    check()
 
 
 def test_registry_snapshot():
