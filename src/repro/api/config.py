@@ -57,13 +57,6 @@ class EstimatorConfig:
     pad:
         Batched smoothers only: pad sequences to power-of-two lengths
         so mixed-length workloads share buckets.  Unset means on.
-    plan_cache:
-        Batched smoothers only: the
-        :class:`~repro.batch.plan.PlanCache` that memoizes compiled
-        structure plans (bucketing, padding, stacked-block layouts)
-        across ``smooth_many`` calls.  Unset means the process-wide
-        :func:`~repro.batch.plan.default_plan_cache`; pass ``False``
-        to disable plan caching for this call.
     array_module:
         Array backend the stacked kernels run on: a backend name
         (``"numpy"``, ``"torch"``, ``"jax"``, ``"cupy"``, or the
@@ -82,7 +75,6 @@ class EstimatorConfig:
     compute_covariance: bool | None = None
     dtype: Any = None
     pad: bool | None = None
-    plan_cache: Any = None
     array_module: Any = None
 
     @property
@@ -148,20 +140,11 @@ class EstimatorConfig:
         Layers ``self`` over ``defaults`` (an estimator's instance
         configuration), then applies the global defaults — a fresh
         :class:`~repro.parallel.backend.SerialBackend`, covariances per
-        ``default_compute_covariance``, padding on, the process-wide
-        plan cache.  The result has no ``None`` fields except
-        ``dtype`` (whose default *is* "leave the float64 arrays
-        alone").
+        ``default_compute_covariance``, padding on, numpy arrays.  The
+        result has no ``None`` fields except ``dtype`` (whose default
+        *is* "leave the float64 arrays alone").
         """
         merged = defaults.merged(self) if defaults is not None else self
-        if merged.plan_cache is None:
-            # Imported lazily: repro.batch imports repro.api at module
-            # load, so a top-level import here would be circular.
-            from ..batch.plan import default_plan_cache
-
-            plan_cache = default_plan_cache()
-        else:
-            plan_cache = merged.plan_cache
         from ..linalg.xp import get_backend
 
         return EstimatorConfig(
@@ -175,7 +158,6 @@ class EstimatorConfig:
             ),
             dtype=merged.dtype,
             pad=True if merged.pad is None else merged.pad,
-            plan_cache=plan_cache,
             array_module=get_backend(merged.array_module),
         )
 

@@ -17,14 +17,14 @@ is pure overhead after the first call.  This module compiles it once:
   padding targets, and one compiled
   :class:`~repro.batch.stacking.BucketLayout` (stacked-block shapes +
   preallocated, pad-prefilled raw workspaces) per odd-even bucket.
-* :class:`PlanCache` is a thread-safe LRU keyed by workload key,
-  threaded through :class:`~repro.api.EstimatorConfig` (the
-  ``plan_cache`` field; ``resolve()`` defaults it to the process-wide
-  :func:`default_plan_cache`).
+  The compiled layout is the only way an odd-even bucket is stacked.
+* :class:`PlanCache` is a thread-safe LRU keyed by workload key.
+  :class:`~repro.batch.BatchSmoother` plans every call through the
+  process-wide :func:`default_plan_cache`.
 
-Replaying a plan is exact: the layout path performs the same numeric
-operations on the same values as the cold path, so planned and
-unplanned results agree bit for bit (a property the test suite pins).
+Replaying a plan is exact: a warm hit performs the same numeric
+operations on the same values as the cold miss that built the plan,
+so the two agree bit for bit (a property the test suite pins).
 
 A plan's workspaces are reused across calls but never shared between
 concurrent callers: ``smooth_many`` *leases* a workspace set through
@@ -100,8 +100,8 @@ class BucketPlan:
     ``n_states_orig[b]`` is the real (pre-padding) length of member
     ``b``; ``target`` is the padded stack length.  ``layout`` is the
     compiled stacked-block layout for the odd-even method, or ``None``
-    for ``exact_obs`` (associative) buckets, whose stacking path pads
-    physically.
+    for ``exact_obs`` (associative) buckets, whose scans run on
+    physically padded problems.
     """
 
     indices: list[int]
@@ -215,16 +215,15 @@ def build_plan(
 ) -> SmoothPlan:
     """Run the structure pipeline once and record it as a plan.
 
-    Buckets via :func:`bucket_problems` (the same decisions the
-    un-planned path makes), compiles each odd-even bucket's layout
-    from its padded members, and discards the padded problem objects
-    — replays never construct them again.
+    Buckets via :func:`bucket_problems`, compiles each odd-even
+    bucket's layout from its padded members, and discards the padded
+    problem objects — replays never construct them again.
 
     ``array_backend`` (a resolved
     :class:`~repro.linalg.xp.ArrayBackend`, or ``None`` for numpy)
-    selects where the compiled workspaces live.  Immutable backends
-    get no layout at all — their buckets replay through the
-    physically-padded stacking path and are converted after stacking.
+    selects where the compiled workspaces live.  An immutable backend
+    gets a host (numpy) layout; the smoother stacks on the host and
+    moves the whitened stack to the backend afterwards.
     """
     problems = list(problems)
     backend_name = (
@@ -234,14 +233,11 @@ def build_plan(
         problems, pad=pad, exact_obs=exact_obs, backend=backend_name
     )
     buckets = bucket_problems(problems, pad=pad, exact_obs=exact_obs)
-    no_layout = exact_obs or (
-        backend_name != "numpy" and not array_backend.mutable
-    )
     plans = []
     for bucket in buckets:
         layout = (
             None
-            if no_layout
+            if exact_obs
             else build_bucket_layout(bucket, array_backend=array_backend)
         )
         plans.append(
@@ -359,7 +355,7 @@ _DEFAULT_LOCK = threading.Lock()
 
 
 def default_plan_cache() -> PlanCache:
-    """The process-wide cache ``EstimatorConfig.resolve()`` defaults to."""
+    """The process-wide cache every ``BatchSmoother`` call plans through."""
     global _DEFAULT_CACHE
     with _DEFAULT_LOCK:
         if _DEFAULT_CACHE is None:

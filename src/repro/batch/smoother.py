@@ -18,9 +18,10 @@ Two serving optimizations layer on top of the stacked kernels:
 * **Plan caching** — the structure-only preamble (signatures, bucket
   grouping, padding, workspace allocation) is compiled once per
   workload structure into a :class:`~repro.batch.plan.SmoothPlan` and
-  replayed from the :class:`~repro.batch.plan.PlanCache` threaded
-  through :class:`~repro.api.EstimatorConfig`.  Replays are exact:
-  planned and unplanned results agree bit for bit.
+  replayed from the process-wide
+  :func:`~repro.batch.plan.default_plan_cache`.  Every odd-even bucket
+  is stacked through its plan's compiled layout.  Replays are exact:
+  a warm hit and the cold miss that built the plan agree bit for bit.
 * **Mixed precision** — ``EstimatorConfig(dtype=np.float32)`` (or
   ``dtype="mixed"`` for float64 outputs) runs the factorization and
   solves in float32 and recovers float64-level means with
@@ -43,7 +44,6 @@ overrides ``smooth_many`` with the stacked kernels (capability flag
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
 
 import numpy as np
 
@@ -63,8 +63,8 @@ from ..model.problem import (
 )
 from ..parallel.backend import Backend
 from .associative import batched_associative_smooth
-from .plan import build_plan, workload_key
-from .stacking import BucketLayout, bucket_problems, pad_problem, stack_whitened
+from .plan import build_plan, default_plan_cache, workload_key
+from .stacking import BucketLayout, pad_problem, stack_whitened
 
 __all__ = ["BatchSmoother"]
 
@@ -93,10 +93,9 @@ def _white_to_backend(
 ) -> WhitenedProblem:
     """Move a host-stacked whitened problem onto an array backend.
 
-    Used when stacking happened in numpy (no compiled layout: plan
-    caching disabled, or an immutable backend that cannot host
-    writable workspaces) but the factorization should run on the
-    selected backend.
+    Used for an immutable backend: it cannot host writable workspaces,
+    so its compiled layout stacks in numpy and the factorization then
+    runs on the selected backend.
     """
     conv = array_backend.from_numpy
     steps = []
@@ -235,15 +234,15 @@ class BatchSmoother(SmootherBase):
 
     After each ``smooth_many`` the instance exposes
     :attr:`last_diagnostics`: plan-cache outcome (hit/miss + cache
-    counters) and per-phase wall-clock timings (``plan``, ``stack``,
-    ``factorize``, ``solve``, ``refine``, ``selinv``, ``scan``) — the
-    observability hook the plan-cache bench records to
-    ``results/plan_cache.json``.  The same signals accumulate in the
-    process :mod:`repro.obs` registry (``repro_batch_phase_seconds``
-    histograms per phase, call/sequence counters,
-    ``repro_plan_workspace_bytes``) for the JSON and Prometheus
-    exporters; swap in a :class:`~repro.obs.NullRegistry` to switch
-    that off (``bench/batch.py --obs`` measures the overhead).
+    counters + workspace lease counters) and per-phase wall-clock
+    timings (``plan``, ``stack``, ``factorize``, ``solve``,
+    ``refine``, ``selinv``, ``scan``).  The same signals accumulate in
+    the process :mod:`repro.obs` registry
+    (``repro_batch_phase_seconds`` histograms per phase, call/sequence
+    counters, ``repro_plan_workspace_bytes``) for the JSON and
+    Prometheus exporters; swap in a :class:`~repro.obs.NullRegistry`
+    to switch that off (``bench/batch.py --obs`` measures the
+    overhead).
     """
 
     def __init__(
@@ -329,7 +328,7 @@ class BatchSmoother(SmootherBase):
         backend_name = getattr(ab, "name", "numpy") if ab is not None else "numpy"
         diag: dict = {
             "workload": len(problems),
-            "plan_cache": {"enabled": False, "hit": None},
+            "plan_cache": {"hit": None},
             "array_backend": backend_name,
             "phases": phases,
         }
@@ -338,82 +337,48 @@ class BatchSmoother(SmootherBase):
             return []
         t_start = time.perf_counter()
         exact = self.method == "associative"
-        # NB: PlanCache defines __len__, so an *empty* cache is falsy;
-        # test identity against the disabled sentinels, not truthiness.
-        cache = config.plan_cache
-        if cache is False or cache is None:
-            cache = None
+        cache = default_plan_cache()
         results: list[SmootherResult | None] = [None] * len(problems)
         t0 = time.perf_counter()
-        plan = None
-        if cache is not None:
-            key = workload_key(
-                problems,
-                pad=config.pad,
-                exact_obs=exact,
-                backend=backend_name,
-            )
-            plan, hit = cache.get_or_build(
-                key,
-                lambda: build_plan(
-                    problems,
-                    pad=config.pad,
-                    exact_obs=exact,
-                    array_backend=ab,
-                ),
-            )
-            phases["plan"] += time.perf_counter() - t0
-            diag["plan_cache"] = {
-                "enabled": True,
-                "hit": hit,
-                **cache.stats(),
-            }
-        else:
-            buckets = bucket_problems(
-                problems, pad=config.pad, exact_obs=exact
-            )
-            phases["plan"] += time.perf_counter() - t0
-            # The un-planned path smooths the physically padded
-            # problems bucket_problems built.
-            padded_by_bucket = [b.problems for b in buckets]
-        # A planned replay mutates the plan's preallocated workspaces,
-        # so the whole bucket loop runs under a workspace lease:
-        # concurrent callers replaying the same cached plan each own a
-        # private workspace set and cannot alias each other's buffers.
-        lease = (
-            plan.lease_workspaces() if plan is not None else nullcontext()
+        key = workload_key(
+            problems, pad=config.pad, exact_obs=exact, backend=backend_name
         )
-        with lease as workspaces:
-            if plan is not None:
-                groups = [
-                    (bp.indices, bp.n_states_orig, bp.target, ws)
-                    for bp, ws in zip(plan.buckets, workspaces)
-                ]
-            else:
-                groups = [
-                    (b.indices, b.n_states_orig, b.n_states, None)
-                    for b in buckets
-                ]
-            for g, (indices, n_orig, target, layout) in enumerate(groups):
-                if plan is not None:
-                    members = [problems[j] for j in indices]
-                    if exact or layout is None:
-                        members = [pad_problem(p, target) for p in members]
-                else:
-                    members = padded_by_bucket[g]
+        plan, hit = cache.get_or_build(
+            key,
+            lambda: build_plan(
+                problems, pad=config.pad, exact_obs=exact, array_backend=ab
+            ),
+        )
+        phases["plan"] += time.perf_counter() - t0
+        diag["plan_cache"] = {"hit": hit, **cache.stats()}
+        # A replay mutates the plan's preallocated workspaces, so the
+        # whole bucket loop runs under a workspace lease: concurrent
+        # callers replaying the same cached plan each own a private
+        # workspace set and cannot alias each other's buffers.
+        with plan.lease_workspaces() as workspaces:
+            for bp, layout in zip(plan.buckets, workspaces):
+                members = [problems[j] for j in bp.indices]
                 if exact:
                     out = self._associative_stack(
-                        members, n_orig, target, config, phases
+                        [pad_problem(p, bp.target) for p in members],
+                        bp.n_states_orig,
+                        bp.target,
+                        config,
+                        phases,
                     )
                 else:
                     out = self._oddeven_stack(
-                        members, indices, n_orig, target, layout, config,
+                        members,
+                        bp.indices,
+                        bp.n_states_orig,
+                        bp.target,
+                        layout,
+                        config,
                         phases,
                     )
-                for idx, result in zip(indices, out):
+                for idx, result in zip(bp.indices, out):
                     results[idx] = result
-        if plan is not None:
-            diag["plan_cache"]["workspaces"] = plan.workspace_stats()
+        diag["plan_cache"]["workspaces"] = plan.workspace_stats()
         diag["total_s"] = time.perf_counter() - t_start
         self._publish_metrics(diag, plan)
         return results  # type: ignore[return-value]
@@ -447,10 +412,7 @@ class BatchSmoother(SmootherBase):
         registry.histogram("repro_batch_call_seconds").observe(
             diag["total_s"]
         )
-        if plan is not None:
-            registry.gauge("repro_plan_workspace_bytes").set(
-                plan.nbytes()
-            )
+        registry.gauge("repro_plan_workspace_bytes").set(plan.nbytes())
 
     # ------------------------------------------------------------------
     # per-bucket engines
@@ -461,7 +423,7 @@ class BatchSmoother(SmootherBase):
         indices: list[int],
         n_orig: list[int],
         target: int,
-        layout: BucketLayout | None,
+        layout: BucketLayout,
         config: EstimatorConfig,
         phases: dict,
     ) -> list[SmootherResult]:
@@ -473,10 +435,9 @@ class BatchSmoother(SmootherBase):
             np.dtype(config.solve_dtype) == np.float32
         )
         t0 = time.perf_counter()
-        white = stack_whitened(members, layout=layout)
-        if foreign and layout is None:
-            # No compiled device workspaces (plan caching disabled, or
-            # an immutable backend): stacking ran on host, so move the
+        white = stack_whitened(members, layout)
+        if foreign and layout.xp is np:
+            # An immutable backend's layout lives on the host: move the
             # whitened blocks to the backend before the factorization.
             white = _white_to_backend(white, ab)
         phases["stack"] += time.perf_counter() - t0
@@ -570,7 +531,6 @@ class BatchSmoother(SmootherBase):
                         "refine_steps": (
                             self.refine_steps if mixed else 0
                         ),
-                        "planned": layout is not None,
                         "array_backend": (
                             ab.name if foreign else "numpy"
                         ),

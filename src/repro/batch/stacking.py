@@ -18,9 +18,13 @@ step.  This module turns an arbitrary mixed workload into such stacks:
    distinct length (at most 2x padding overhead).
 3. :func:`bucket_problems` groups padded problems by their
    :func:`structure_signature`; each group can be stacked.
-4. :func:`stack_whitened` whitens each problem of a group and stacks
-   the whitened blocks on the leading batch axis (the convention in
-   :mod:`repro.batch`), yielding the batched
+4. :func:`build_bucket_layout` compiles one group into a
+   :class:`BucketLayout`: per-step shapes plus preallocated raw and
+   whitening-factor workspaces, with the padding rows prefilled.
+5. :func:`stack_whitened` fills a layout's workspaces from the
+   group's unpadded problems, whitens every step with one batched
+   solve, and stacks the blocks on the leading batch axis (the
+   convention in :mod:`repro.batch`), yielding the batched
    :class:`~repro.model.problem.WhitenedProblem` the odd-even
    factorization consumes directly.
 """
@@ -30,9 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag
 
-from ..linalg.cholesky import Whitener, stack_whiten, stack_whiten_prepared
+from ..linalg.cholesky import Whitener, stack_whiten_prepared
 from ..linalg.xp import get_namespace
 from ..model.problem import (
     StateSpaceProblem,
@@ -199,27 +202,6 @@ def bucket_problems(
     return buckets
 
 
-def _row_whitener(pieces: list[Whitener], pad_rows: int = 0) -> Whitener:
-    """One whitener covering stacked row blocks (block-diagonal factor).
-
-    ``pad_rows`` extra unit-covariance rows cover the zero-padding that
-    aligns observation row counts across a stack (zero rows whiten to
-    zero rows under any unit factor).
-    """
-    if pad_rows:
-        pieces = pieces + [Whitener.identity(pad_rows)]
-    if len(pieces) == 1:
-        return pieces[0]
-    rows = sum(w.dim for w in pieces)
-    if all(w.is_unit for w in pieces):
-        return Whitener.identity(rows)
-    return Whitener(
-        block_diag(*[w.factor_matrix() for w in pieces]),
-        kind="factor",
-        what="stacked row covariance",
-    )
-
-
 @dataclass
 class StepLayout:
     """Shape summary of one step of a stacked bucket (plan-compiled).
@@ -242,16 +224,14 @@ class BucketLayout:
     """Precompiled stacked-block layout plus reusable raw workspaces.
 
     Built once per workload structure by :func:`build_bucket_layout`
-    and replayed by ``stack_whitened(..., layout=...)``: the per-call
+    and filled by :func:`stack_whitened` on every call: the per-call
     structure work (signature checks, padded-problem construction,
     workspace allocation) is skipped, and *virtual padding* replaces
     physical padding — slices whose sequence ends before the bucket's
     padded length are never filled at stack time, because their
     constant unobserved identity-evolution rows (``[I | I | 0]`` with
     unit whiteners, exactly what :func:`pad_problem` would append) are
-    prefilled into the workspaces at build time.  The numeric values
-    entering the batched whitening are therefore *identical* to the
-    legacy pad-then-stack path, bit for bit.
+    prefilled into the workspaces at build time.
 
     The raw workspaces are reused across calls, which is safe because
     a layout is only valid for workloads with the exact structure it
@@ -338,20 +318,20 @@ def build_bucket_layout(
 ) -> BucketLayout:
     """Compile one :class:`Bucket` into a reusable :class:`BucketLayout`.
 
-    Walks the bucket's (padded) problems exactly the way
-    :func:`stack_whitened` would, recording per-step shapes and
-    preallocating the raw block workspaces.  Rows belonging to padding
-    steps (``i >= n_states_orig[b]``) are prefilled here, from the
-    padded problems' actual blocks, so stack time touches only real
-    data.  The bucket's problem objects are not retained.
+    Walks the bucket's (padded) problems step by step, recording
+    per-step shapes and preallocating the raw block workspaces.  Rows
+    belonging to padding steps (``i >= n_states_orig[b]``) are
+    prefilled here, from the padded problems' actual blocks, so stack
+    time touches only real data.  The bucket's problem objects are
+    not retained.
 
-    With a non-numpy ``array_backend`` (an
-    :class:`~repro.linalg.xp.ArrayBackend` with ``mutable=True``),
-    the compiled workspaces are moved to that backend once at build
-    time, so plan replays stack and whiten directly on the selected
-    backend's arrays.  Immutable backends cannot host writable
-    workspaces; :func:`~repro.batch.plan.build_plan` plans around them
-    by skipping layout compilation entirely.
+    With a mutable non-numpy ``array_backend`` (an
+    :class:`~repro.linalg.xp.ArrayBackend`), the compiled workspaces
+    are moved to that backend once at build time, so plan replays
+    stack and whiten directly on the selected backend's arrays.  An
+    immutable backend cannot host writable workspaces, so its layout
+    stays on the host (``xp`` is numpy) and the caller moves the
+    stacked result to the backend.
     """
     problems = bucket.problems
     batch = bucket.batch
@@ -425,13 +405,11 @@ def build_bucket_layout(
             evo_eye.append(None)
             evo_factors.append(None)
     xp = np
-    if array_backend is not None and array_backend.name != "numpy":
-        if not array_backend.mutable:
-            raise ValueError(
-                f"array backend {array_backend.name!r} is immutable and "
-                "cannot host writable plan workspaces; build the plan "
-                "without a layout instead"
-            )
+    if (
+        array_backend is not None
+        and array_backend.name != "numpy"
+        and array_backend.mutable
+    ):
         xp = array_backend.xp
 
         def _dev(bufs):
@@ -468,14 +446,14 @@ def _slice_whitener_parts(
 ) -> tuple[float | None, list[tuple[int, Whitener]]]:
     """Classify one slice's row whitener without constructing it.
 
-    Mirrors what :func:`_row_whitener` followed by
-    ``factor_matrix()`` would produce: returns ``(scale, writes)``
-    where ``scale`` is the slice's uniform scaling (``None`` when the
-    slice carries a dense factor) and ``writes`` are the
-    ``(row_offset, whitener)`` diagonal blocks whose factor matrices
-    must overwrite the identity-prefilled factor workspace when the
-    step takes the dense branch (unit blocks are already identity
-    there and are skipped).
+    The slice's row whitener is block-diagonal over its pieces plus
+    ``pad_rows`` unit rows for the zero-padding.  Returns
+    ``(scale, writes)`` where ``scale`` is the slice's uniform scaling
+    (``None`` when the slice carries a dense factor) and ``writes``
+    are the ``(row_offset, whitener)`` diagonal blocks whose factor
+    matrices must overwrite the identity-prefilled factor workspace
+    when the step takes the dense branch (unit blocks are already
+    identity there and are skipped).
     """
     if len(pieces) == 1 and not pad_rows:
         w = pieces[0]
@@ -503,11 +481,10 @@ def _assemble_and_whiten(
 ) -> np.ndarray:
     """Whiten a raw stack from classified per-slice whitener parts.
 
-    Takes the same branch :func:`~repro.linalg.cholesky.stack_whiten`
-    would: if any slice is dense (``scale is None``), the factor
-    workspace is reset to identity, the dense diagonal blocks are
-    written (``scale*I`` slices land there via their ``factor_matrix``
-    too), and the whole stack goes through one batched lower solve;
+    If any slice is dense (``scale is None``), the factor workspace is
+    reset to identity, the dense diagonal blocks are written
+    (``scale*I`` slices land there via their ``factor_matrix`` too),
+    and the whole stack goes through one batched lower solve;
     otherwise the stack is scaled (or copied when all scales are one).
     """
     if any(s is None for s in scales):
@@ -521,20 +498,36 @@ def _assemble_and_whiten(
     return stack_whiten_prepared(raws, scales=np.asarray(scales))
 
 
-def _stack_with_layout(
+def stack_whitened(
     problems: list[StateSpaceProblem], layout: BucketLayout
 ) -> WhitenedProblem:
-    """The plan-compiled fast path of :func:`stack_whitened`.
+    """Whiten and stack a bucket's problems on a leading batch axis.
 
-    ``problems`` are the bucket's members in bucket order, *unpadded*
-    — padding is virtual (see :class:`BucketLayout`).  No structural
+    ``layout`` is the bucket's compiled :class:`BucketLayout` (from
+    :func:`build_bucket_layout`, usually through a cached
+    :class:`~repro.batch.plan.SmoothPlan`); ``problems`` are the
+    bucket's members in bucket order, *unpadded* — padding is virtual
+    (see :class:`BucketLayout`).  Beyond the batch size, no structural
     validation happens here: the plan cache guarantees the layout was
-    built for exactly this workload structure.  Whitening factors are
-    assembled directly into the layout's workspaces
-    (:func:`_assemble_and_whiten`) instead of constructing per-slice
-    :class:`~repro.linalg.cholesky.Whitener` objects, which is where
-    the un-planned path spends most of its stacking time.
+    built for exactly this workload structure.
+
+    The result is a :class:`WhitenedProblem` whose steps hold
+    ``(B, rows, cols)`` blocks and ``(B, rows)`` right-hand sides —
+    the batched input form of
+    :func:`repro.core.oddeven_qr.oddeven_factorize`.  Instead of ``B``
+    separate :meth:`StateSpaceProblem.whiten` calls (thousands of
+    tiny triangular solves), the raw blocks go into the layout's
+    workspaces, the whitening factors are assembled next to them
+    (:func:`_assemble_and_whiten`), and each step's observation and
+    evolution rows are whitened with one batched solve.  Slice ``b``
+    equals ``problems[b].whiten()`` (padded to the bucket's length)
+    to roundoff.
     """
+    if len(problems) != layout.batch:
+        raise ValueError(
+            f"layout was compiled for {layout.batch} problems, got "
+            f"{len(problems)}"
+        )
     n_orig = layout.n_states_orig
     steps: list[WhitenedStep] = []
     for i, sl in enumerate(layout.steps):
@@ -622,114 +615,3 @@ def _stack_with_layout(
     return WhitenedProblem(steps=steps)
 
 
-def stack_whitened(
-    problems: list[StateSpaceProblem],
-    layout: BucketLayout | None = None,
-) -> WhitenedProblem:
-    """Whiten and stack all problems on a leading batch axis — batched.
-
-    All problems must share one :func:`structure_signature` (callers go
-    through :func:`bucket_problems`).  The result is a
-    :class:`WhitenedProblem` whose steps hold ``(B, rows, cols)`` blocks
-    and ``(B, rows)`` right-hand sides — the batched input form of
-    :func:`repro.core.oddeven_qr.oddeven_factorize`.
-
-    Unlike ``B`` separate :meth:`StateSpaceProblem.whiten` calls (which
-    would dominate the batched smoother's runtime with thousands of
-    tiny triangular solves), this stacks the *raw* blocks first and
-    whitens each step's observation and evolution rows with one
-    batched solve across the whole stack
-    (:func:`repro.linalg.cholesky.stack_whiten`); slice ``b`` equals
-    ``problems[b].whiten()`` to roundoff.
-
-    With ``layout`` (a :class:`BucketLayout` from a cached
-    :class:`~repro.batch.plan.SmoothPlan`), the per-call structure
-    work is skipped: ``problems`` are then the *unpadded* bucket
-    members in bucket order, padding is virtual, and the raw blocks go
-    into the layout's preallocated workspaces.  The result is bit-for-
-    bit identical to the un-planned path over the padded problems.
-    """
-    if layout is not None:
-        return _stack_with_layout(problems, layout)
-    if not problems:
-        raise ValueError("cannot stack an empty problem list")
-    sigs = {structure_signature(p) for p in problems}
-    if len(sigs) != 1:
-        raise ValueError(
-            "problems in one stack must share a structure signature; "
-            "run bucket_problems first"
-        )
-    batch = len(problems)
-    steps: list[WhitenedStep] = []
-    for i in range(problems[0].n_states):
-        step0 = problems[0].steps[i]
-        n = step0.state_dim
-        # ---- observation rows (prior folded into step 0) ----
-        # Row counts may differ across the stack; shorter blocks are
-        # zero-padded to the per-step maximum, which is exact (a zero
-        # row constrains nothing and contributes no residual).
-        obs_pieces: list[list] = []
-        for p in problems:
-            pieces = []
-            if i == 0 and p.prior is not None:
-                pieces.append(p.prior.as_observation())
-            if p.steps[i].observation is not None:
-                pieces.append(p.steps[i].observation)
-            obs_pieces.append(pieces)
-        row_counts = [
-            sum(ob.rows for ob in pieces) for pieces in obs_pieces
-        ]
-        max_rows = max(row_counts)
-        if max_rows:
-            raws = np.zeros((batch, max_rows, n + 1))
-            whiteners: list[Whitener] = []
-            for b, pieces in enumerate(obs_pieces):
-                if pieces:
-                    raws[b, : row_counts[b]] = np.concatenate(
-                        [
-                            np.concatenate([ob.G, ob.o[:, None]], axis=1)
-                            for ob in pieces
-                        ],
-                        axis=0,
-                    )
-                whiteners.append(
-                    _row_whitener(
-                        [ob.L for ob in pieces],
-                        pad_rows=max_rows - row_counts[b],
-                    )
-                )
-            white = stack_whiten(whiteners, raws)
-            step = WhitenedStep(
-                index=i, n=n, C=white[..., :n], rhs_C=white[..., n]
-            )
-        else:
-            step = WhitenedStep(
-                index=i,
-                n=n,
-                C=np.zeros((batch, 0, n)),
-                rhs_C=np.zeros((batch, 0)),
-            )
-        # ---- evolution rows ----
-        if i > 0:
-            n_prev = step0.evolution.prev_dim
-            raw_evo = np.stack(
-                [
-                    np.concatenate(
-                        [
-                            p.steps[i].evolution.F,
-                            p.steps[i].evolution.H,
-                            p.steps[i].evolution.c[:, None],
-                        ],
-                        axis=1,
-                    )
-                    for p in problems
-                ]
-            )
-            white_evo = stack_whiten(
-                [p.steps[i].evolution.K for p in problems], raw_evo
-            )
-            step.B = white_evo[..., :n_prev]
-            step.D = white_evo[..., n_prev : n_prev + n]
-            step.rhs_BD = white_evo[..., -1]
-        steps.append(step)
-    return WhitenedProblem(steps=steps)

@@ -28,7 +28,6 @@ __all__ = [
     "spd_cholesky",
     "spd_solve",
     "Whitener",
-    "stack_whiten",
     "stack_whiten_prepared",
     "whiten_packed",
 ]
@@ -255,7 +254,7 @@ class Whitener:
 
         Identity/scaled-identity whiteners materialize ``scale * I`` so
         heterogeneous stacks can be whitened with one batched solve
-        (see :func:`stack_whiten`).
+        (see :func:`stack_whiten_prepared`).
         """
         if self._factor is not None:
             return self._factor
@@ -263,81 +262,23 @@ class Whitener:
         return scale * np.eye(self.dim)
 
 
-def stack_whiten(
-    whiteners: list[Whitener], block_stack: np.ndarray
-) -> np.ndarray:
-    """Whiten a ``(B, rows, cols)`` stack, one whitener per slice.
-
-    This is the batched counterpart of ``B`` separate
-    :meth:`Whitener.whiten` calls: when any slice carries a real
-    Cholesky factor the whole stack goes through *one* batched
-    triangular solve (identity slices contribute ``scale * I``
-    factors); when every whitener is an (optionally scaled) identity
-    the stack is just scaled.  Slice ``b`` of the result equals
-    ``whiteners[b].whiten(block_stack[b])`` to roundoff.
-    """
-    block_stack = as_working_dtype(block_stack)
-    if block_stack.ndim != 3:
-        raise ValueError(
-            f"expected a (B, rows, cols) stack, got {block_stack.shape}"
-        )
-    if block_stack.shape[0] != len(whiteners):
-        raise ValueError(
-            f"{len(whiteners)} whiteners cannot whiten a stack of "
-            f"{block_stack.shape[0]} slices"
-        )
-    rows = block_stack.shape[1]
-    for w in whiteners:
-        if w.dim != rows:
-            raise ValueError(
-                f"cannot whiten {rows} rows with a dimension-{w.dim} "
-                f"{w.what} whitener"
-            )
-    xp = get_namespace(block_stack)
-    if not whiteners or rows == 0 or block_stack.shape[2] == 0:
-        return xp.copy(block_stack)
-    if all(w._factor is None for w in whiteners):
-        # Scale uniformity is decided on the host list; only the
-        # actual scaling touches the (possibly foreign) stack.
-        host_scales = np.array(
-            [
-                w.scale if w.kind == "scaled_identity" else 1.0
-                for w in whiteners
-            ],
-            dtype=np.float64,
-        )
-        if np.all(host_scales == 1.0):
-            return xp.copy(block_stack)
-        b, k = block_stack.shape[0], block_stack.shape[2]
-        add_cost(float(b) * rows * k, b * trsm_bytes(rows, k))
-        scales = xp.astype(
-            xp.asarray(host_scales), block_stack.dtype, copy=False
-        )
-        return block_stack / scales[:, None, None]
-    factors = xp.astype(
-        xp.asarray(np.stack([w.factor_matrix() for w in whiteners])),
-        block_stack.dtype,
-        copy=False,
-    )
-    return solve_lower(factors, block_stack)
-
-
 def stack_whiten_prepared(
     block_stack: np.ndarray,
     factors: np.ndarray | None = None,
     scales: np.ndarray | None = None,
 ) -> np.ndarray:
-    """:func:`stack_whiten` for a pre-assembled factor stack.
+    """Whiten a ``(B, rows, cols)`` stack from pre-assembled factors.
 
-    The plan-compiled stacking path (``repro.batch.stacking``) builds
-    the per-slice factor matrices directly into a reusable workspace
-    instead of constructing :class:`Whitener` objects per call; this
-    entry point applies them branch-for-branch like
-    :func:`stack_whiten` — one batched lower solve when ``factors``
-    is given, a scaling when ``scales`` is, a copy when every scale is
-    one — so the results (and recorded costs) are bit-for-bit
-    identical when the inputs hold the values ``factor_matrix()`` /
-    ``scale`` would have produced.
+    The batched counterpart of ``B`` separate :meth:`Whitener.whiten`
+    calls.  The stacking path (:mod:`repro.batch.stacking`) builds
+    the per-slice factor matrices (``factor_matrix()``) directly into
+    a reusable workspace instead of constructing a combined
+    :class:`Whitener` per slice.  With ``factors`` the whole stack
+    goes through one batched lower solve; with ``scales`` (one
+    standard deviation per slice, every slice an optionally scaled
+    identity) it is just scaled, or copied when every scale is one.
+    Slice ``b`` of the result equals whitening ``block_stack[b]``
+    with that slice's factor to roundoff.
     """
     block_stack = as_working_dtype(block_stack)
     xp = get_namespace(block_stack, factors)

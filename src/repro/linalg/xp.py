@@ -55,8 +55,8 @@ class ArrayBackend:
     ``from_numpy`` / ``to_numpy`` move data across the host boundary;
     ``handles(a)`` answers "does this array belong to me?";
     ``mutable`` says whether numpy-style slice assignment into the
-    backend's arrays works (False routes planning around preallocated
-    workspaces).
+    backend's arrays works (False keeps a plan's preallocated
+    workspaces on the host).
     """
 
     def __init__(

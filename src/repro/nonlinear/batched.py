@@ -126,7 +126,6 @@ def drive_batched(
         compute_covariance=owner._batch_inner_covariance(),
         dtype=config.dtype,
         pad=config.pad,
-        plan_cache=config.plan_cache,
         array_module=config.array_module,
     )
     reg = obs.get_registry()

@@ -4,7 +4,9 @@ Every installed backend must agree with the Paige–Saunders oracle to
 1e-6 and replay bit-identically from the plan cache.  The "mirror"
 backend (numpy in disguise, always installed) additionally proves via
 its call counters that the kernels actually routed through the
-namespace shim rather than falling back to hard ``np.*`` calls.
+namespace shim rather than falling back to hard ``np.*`` calls, and an
+immutable copy of it drives the host-layout path immutable backends
+(jax) take.
 """
 
 import importlib.util
@@ -15,10 +17,15 @@ import pytest
 import repro
 from repro.api import EstimatorConfig
 from repro.batch import BatchSmoother
-from repro.batch.plan import PlanCache
+from repro.batch.plan import build_plan
 from repro.kalman.associative import AssociativeSmoother
 from repro.kalman.paige_saunders import PaigeSaundersSmoother
-from repro.linalg.xp import mirror_call_counts, reset_mirror_counts
+from repro.linalg.xp import (
+    ArrayBackend,
+    get_backend,
+    mirror_call_counts,
+    reset_mirror_counts,
+)
 
 BACKENDS = ["mirror"] + [
     name
@@ -57,9 +64,7 @@ def assert_matches_oracle(results, oracle, atol=1e-6):
 class TestBatchSmootherBackends:
     def test_agrees_with_oracle(self, method, backend, problems, oracle):
         sm = BatchSmoother(method=method)
-        cfg = EstimatorConfig(
-            array_module=backend, plan_cache=PlanCache()
-        )
+        cfg = EstimatorConfig(array_module=backend)
         assert_matches_oracle(sm.smooth_many(problems, config=cfg), oracle)
         assert sm.last_diagnostics["array_backend"] == backend
 
@@ -67,10 +72,9 @@ class TestBatchSmootherBackends:
         self, method, backend, problems, oracle
     ):
         sm = BatchSmoother(method=method)
-        cfg = EstimatorConfig(
-            array_module=backend, plan_cache=PlanCache()
-        )
+        cfg = EstimatorConfig(array_module=backend)
         first = sm.smooth_many(problems, config=cfg)
+        assert sm.last_diagnostics["plan_cache"]["hit"] is False
         replay = sm.smooth_many(problems, config=cfg)
         assert sm.last_diagnostics["plan_cache"]["hit"] is True
         for a, b in zip(first, replay):
@@ -82,9 +86,7 @@ class TestBatchSmootherBackends:
         (bit-identical for mirror, which *is* numpy)."""
         sm = BatchSmoother(method=method)
         base = sm.smooth_many(problems)
-        cfg = EstimatorConfig(
-            array_module=backend, plan_cache=PlanCache()
-        )
+        cfg = EstimatorConfig(array_module=backend)
         routed = sm.smooth_many(problems, config=cfg)
         assert_fn = (
             np.testing.assert_array_equal
@@ -119,23 +121,13 @@ class TestMirrorProvesRouting:
     ):
         reset_mirror_counts()
         sm = BatchSmoother(method=method)
-        cfg = EstimatorConfig(
-            array_module="mirror", plan_cache=PlanCache()
-        )
+        cfg = EstimatorConfig(array_module="mirror")
         sm.smooth_many(problems, config=cfg)
         counts = mirror_call_counts()
         assert counts, f"{method}: no calls routed through the shim"
         # Both paths lean on batched solves; their absence means a
         # kernel regressed to hard np.* calls.
         assert counts.get("linalg.solve", 0) > 0
-        reset_mirror_counts()
-
-    def test_unplanned_path_routes_too(self, problems):
-        reset_mirror_counts()
-        sm = BatchSmoother()
-        cfg = EstimatorConfig(array_module="mirror", plan_cache=False)
-        sm.smooth_many(problems, config=cfg)
-        assert mirror_call_counts()
         reset_mirror_counts()
 
     def test_numpy_run_never_touches_the_mirror(self, problems):
@@ -152,9 +144,7 @@ class TestNumpyOnlyEnvironmentsUnaffected:
 
     def test_mixed_precision_composes_with_backends(self, problems, oracle):
         sm = BatchSmoother()
-        cfg = EstimatorConfig(
-            array_module="mirror", dtype="mixed", plan_cache=False
-        )
+        cfg = EstimatorConfig(array_module="mirror", dtype="mixed")
         results = sm.smooth_many(problems, config=cfg)
         for res, ref in zip(results, oracle):
             assert res.diagnostics["solve_dtype"] == "float32"
@@ -162,3 +152,53 @@ class TestNumpyOnlyEnvironmentsUnaffected:
                 np.testing.assert_allclose(
                     res.means[i], ref.means[i], atol=1e-4
                 )
+
+
+def immutable_mirror() -> ArrayBackend:
+    """The mirror backend's fields with ``mutable=False``.
+
+    Stands in for jax: plan workspaces cannot live on it, so its plans
+    compile host layouts and the smoother moves the whitened stack over
+    before the factorization.
+    """
+    mirror = get_backend("mirror")
+    return ArrayBackend(
+        "mirror-immutable",
+        mirror.xp,
+        from_numpy=mirror.from_numpy,
+        to_numpy=mirror.to_numpy,
+        handles=mirror.handles,
+        mutable=False,
+    )
+
+
+class TestImmutableBackend:
+    def test_plans_compile_host_layouts(self, problems):
+        plan = build_plan(problems, array_backend=immutable_mirror())
+        assert plan.buckets
+        for bp in plan.buckets:
+            assert bp.layout is not None and bp.layout.xp is np
+
+    def test_agrees_with_numpy_and_oracle(self, problems, oracle):
+        sm = BatchSmoother()
+        base = sm.smooth_many(problems)
+        reset_mirror_counts()
+        cfg = EstimatorConfig(array_module=immutable_mirror())
+        routed = sm.smooth_many(problems, config=cfg)
+        assert sm.last_diagnostics["plan_cache"]["hit"] is False
+        assert sm.last_diagnostics["array_backend"] == "mirror-immutable"
+        # The factorization ran on the backend, not on the host stack.
+        assert mirror_call_counts().get("linalg.solve", 0) > 0
+        reset_mirror_counts()
+        for r, b in zip(routed, base):
+            for i in range(len(r.means)):
+                np.testing.assert_array_equal(r.means[i], b.means[i])
+                np.testing.assert_array_equal(
+                    r.covariances[i], b.covariances[i]
+                )
+        assert_matches_oracle(routed, oracle, atol=1e-8)
+        replay = sm.smooth_many(problems, config=cfg)
+        assert sm.last_diagnostics["plan_cache"]["hit"] is True
+        for r, b in zip(replay, routed):
+            for i in range(len(r.means)):
+                np.testing.assert_array_equal(r.means[i], b.means[i])

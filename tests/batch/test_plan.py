@@ -2,9 +2,10 @@
 
 The contract under test is the one ``repro.batch.plan`` documents:
 replaying a cached :class:`~repro.batch.plan.SmoothPlan` is *exact* —
-planned and unplanned ``smooth_many`` agree bit for bit — and the
-float32 fast path with iterative refinement recovers float64-level
-means on ill-conditioned workloads.
+a warm hit agrees bit for bit with a cold miss (a cleared
+:func:`~repro.batch.plan.default_plan_cache`) — and the float32 fast
+path with iterative refinement recovers float64-level means on
+ill-conditioned workloads.
 """
 
 import numpy as np
@@ -27,6 +28,21 @@ def workload(lengths, seed0=0, dims=3):
         random_problem(k, seed=seed0 + i, dims=dims, random_cov=True)
         for i, k in enumerate(lengths)
     ]
+
+
+def smooth_cold(smoother, problems, config=None):
+    """``smooth_many`` on a cleared default cache: a cold miss."""
+    default_plan_cache().clear()
+    out = smoother.smooth_many(problems, config=config)
+    assert smoother.last_diagnostics["plan_cache"]["hit"] is False
+    return out
+
+
+def smooth_warm(smoother, problems, config=None):
+    """``smooth_many`` that must replay a cached plan: a warm hit."""
+    out = smoother.smooth_many(problems, config=config)
+    assert smoother.last_diagnostics["plan_cache"]["hit"] is True
+    return out
 
 
 def assert_identical(a, b):
@@ -118,48 +134,27 @@ class TestPlanCache:
 
 
 class TestPlannedReplayExact:
-    """Planned and unplanned smooth_many agree bit for bit."""
+    """A warm hit and a cold miss agree bit for bit."""
 
     @pytest.mark.parametrize("dtype", [None, "mixed", np.float32])
     def test_warm_replay_is_bit_for_bit(self, dtype):
         probs = workload([5, 9, 5, 7, 12])
         sm = repro.BatchSmoother()
-        cache = PlanCache()
-        cold = sm.smooth_many(
-            probs,
-            config=repro.EstimatorConfig(dtype=dtype, plan_cache=False),
-        )
-        planned = sm.smooth_many(
-            probs,
-            config=repro.EstimatorConfig(dtype=dtype, plan_cache=cache),
-        )
-        assert sm.last_diagnostics["plan_cache"]["hit"] is False
-        warm = sm.smooth_many(
-            probs,
-            config=repro.EstimatorConfig(dtype=dtype, plan_cache=cache),
-        )
-        assert sm.last_diagnostics["plan_cache"]["hit"] is True
-        assert_identical(cold, planned)
-        assert_identical(planned, warm)
+        cfg = repro.EstimatorConfig(dtype=dtype)
+        cold = smooth_cold(sm, probs, cfg)
+        warm = smooth_warm(sm, probs, cfg)
+        assert_identical(cold, warm)
 
     def test_replay_with_different_values_same_structure(self):
         """A warm plan must not leak one workload's numbers into the
         next: same key, fresh values, fresh answers."""
-        cache = PlanCache()
         sm = repro.BatchSmoother()
         first = workload([5, 7, 6], seed0=0)
         second = workload([5, 7, 6], seed0=50)
         assert workload_key(first) == workload_key(second)
-        sm.smooth_many(
-            first, config=repro.EstimatorConfig(plan_cache=cache)
-        )
-        got = sm.smooth_many(
-            second, config=repro.EstimatorConfig(plan_cache=cache)
-        )
-        assert sm.last_diagnostics["plan_cache"]["hit"] is True
-        want = sm.smooth_many(
-            second, config=repro.EstimatorConfig(plan_cache=False)
-        )
+        smooth_cold(sm, first)
+        got = smooth_warm(sm, second)
+        want = smooth_cold(sm, second)
         assert_identical(want, got)
 
     @settings(max_examples=15, deadline=None)
@@ -173,63 +168,32 @@ class TestPlannedReplayExact:
     def test_property_plan_replay_exact(self, lengths, seed, pad):
         probs = workload(lengths, seed0=seed)
         sm = repro.BatchSmoother()
-        cache = PlanCache()
-        cfg = repro.EstimatorConfig(pad=pad, plan_cache=cache)
-        planned = sm.smooth_many(probs, config=cfg)
-        warm = sm.smooth_many(probs, config=cfg)
-        cold = sm.smooth_many(
-            probs, config=repro.EstimatorConfig(pad=pad, plan_cache=False)
-        )
-        assert_identical(cold, planned)
-        assert_identical(planned, warm)
+        cfg = repro.EstimatorConfig(pad=pad)
+        cold = smooth_cold(sm, probs, cfg)
+        warm = smooth_warm(sm, probs, cfg)
+        assert_identical(cold, warm)
 
     def test_associative_method_plans_too(self):
         probs = workload([5, 5, 9])
         sm = repro.BatchSmoother(method="associative")
-        cache = PlanCache()
-        cfg = repro.EstimatorConfig(plan_cache=cache)
-        planned = sm.smooth_many(probs, config=cfg)
-        warm = sm.smooth_many(probs, config=cfg)
-        assert sm.last_diagnostics["plan_cache"]["hit"] is True
-        cold = sm.smooth_many(
-            probs, config=repro.EstimatorConfig(plan_cache=False)
-        )
-        assert_identical(cold, planned)
-        assert_identical(planned, warm)
+        cold = smooth_cold(sm, probs)
+        warm = smooth_warm(sm, probs)
+        assert_identical(cold, warm)
 
 
 class TestDiagnostics:
     def test_phase_timings_and_cache_outcome(self):
         probs = workload([6, 6])
         sm = repro.BatchSmoother()
-        cache = PlanCache()
-        sm.smooth_many(probs, config=repro.EstimatorConfig(plan_cache=cache))
+        sm.smooth_many(probs)
         diag = sm.last_diagnostics
-        assert diag["plan_cache"]["enabled"] is True
+        assert diag["plan_cache"]["hit"] is False
+        assert diag["plan_cache"]["misses"] == 1
         assert diag["workload"] == 2
         phases = diag["phases"]
         assert phases["stack"] > 0 and phases["factorize"] > 0
         assert phases["refine"] == 0.0  # float64 run: no refinement
         assert diag["total_s"] > 0
-
-    def test_result_diagnostics_flag_planned_runs(self):
-        probs = workload([6])
-        sm = repro.BatchSmoother()
-        planned = sm.smooth_many(
-            probs, config=repro.EstimatorConfig(plan_cache=PlanCache())
-        )
-        cold = sm.smooth_many(
-            probs, config=repro.EstimatorConfig(plan_cache=False)
-        )
-        assert planned[0].diagnostics["planned"] is True
-        assert cold[0].diagnostics["planned"] is False
-
-    def test_disabled_cache_reports_disabled(self):
-        sm = repro.BatchSmoother()
-        sm.smooth_many(
-            workload([4]), config=repro.EstimatorConfig(plan_cache=False)
-        )
-        assert sm.last_diagnostics["plan_cache"]["enabled"] is False
 
 
 class TestMixedPrecision:
@@ -245,12 +209,10 @@ class TestMixedPrecision:
             for s in range(4)
         ]
         sm = repro.BatchSmoother()
-        r64 = sm.smooth_many(
-            probs, config=repro.EstimatorConfig(plan_cache=False)
-        )
+        r64 = sm.smooth_many(probs)
         rmx = sm.smooth_many(
             probs,
-            config=repro.EstimatorConfig(dtype="mixed", plan_cache=False),
+            config=repro.EstimatorConfig(dtype="mixed"),
         )
         assert sm.last_diagnostics["phases"]["refine"] > 0
         for a, b in zip(r64, rmx):
@@ -275,12 +237,10 @@ class TestMixedPrecision:
             for s in range(3)
         ]
         sm = repro.BatchSmoother()
-        r64 = sm.smooth_many(
-            probs, config=repro.EstimatorConfig(plan_cache=False)
-        )
+        r64 = sm.smooth_many(probs)
         rmx = sm.smooth_many(
             probs,
-            config=repro.EstimatorConfig(dtype="mixed", plan_cache=False),
+            config=repro.EstimatorConfig(dtype="mixed"),
         )
         assert sm.last_diagnostics["phases"]["cov_refine"] > 0
         for a, b in zip(r64, rmx):
@@ -297,7 +257,7 @@ class TestMixedPrecision:
         sm = repro.BatchSmoother(compute_covariance=False)
         out = sm.smooth_many(
             probs,
-            config=repro.EstimatorConfig(dtype="mixed", plan_cache=False),
+            config=repro.EstimatorConfig(dtype="mixed"),
         )
         assert sm.last_diagnostics["phases"]["cov_refine"] == 0.0
         assert out[0].covariances is None
@@ -305,10 +265,8 @@ class TestMixedPrecision:
 
     def test_refinement_beats_raw_float32(self):
         probs = [ill_conditioned_problem(n=4, k=15, cond=1e4, seed=7)]
-        r64 = repro.BatchSmoother().smooth_many(
-            probs, config=repro.EstimatorConfig(plan_cache=False)
-        )
-        cfg = repro.EstimatorConfig(dtype="mixed", plan_cache=False)
+        r64 = repro.BatchSmoother().smooth_many(probs)
+        cfg = repro.EstimatorConfig(dtype="mixed")
         raw = repro.BatchSmoother(refine_steps=0).smooth_many(
             probs, config=cfg
         )
@@ -331,9 +289,7 @@ class TestMixedPrecision:
         sm = repro.BatchSmoother()
         out = sm.smooth_many(
             probs,
-            config=repro.EstimatorConfig(
-                dtype=np.float32, plan_cache=False
-            ),
+            config=repro.EstimatorConfig(dtype=np.float32),
         )
         for r in out:
             assert all(m.dtype == np.float32 for m in r.means)

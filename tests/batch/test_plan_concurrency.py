@@ -2,12 +2,13 @@
 
 The regression under test: a cached :class:`~repro.batch.plan.SmoothPlan`
 carries preallocated stacked workspaces, and before the workspace-lease
-mechanism two threads hitting the same :class:`~repro.batch.plan.PlanCache`
-entry wrote into the *same* buffers mid-flight, silently corrupting each
-other's stacked factorizations.  These tests drive N threads through one
-shared cache entry (distinct values, identical structure) and require
-every threaded result to equal the serial result exactly — they fail on
-the pre-lease code.
+mechanism two threads hitting the same entry of the process-wide
+:func:`~repro.batch.plan.default_plan_cache` wrote into the *same*
+buffers mid-flight, silently corrupting each other's stacked
+factorizations.  These tests drive N threads through one shared cache
+entry (distinct values, identical structure) and require every threaded
+result to equal serial replay of the same workload exactly — they fail
+on the pre-lease code.
 """
 
 import sys
@@ -19,8 +20,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.batch.plan import PlanCache, build_plan, workload_key
+from repro.batch.plan import build_plan, default_plan_cache, workload_key
 from repro.model.generators import random_problem
+
+
+def assert_serial_replay_equals(workloads, got, dtype=None):
+    """Replaying each workload serially reproduces the threaded answers."""
+    sm = repro.BatchSmoother()
+    cfg = repro.EstimatorConfig(dtype=dtype)
+    for t, w in enumerate(workloads):
+        want = sm.smooth_many(w, config=cfg)
+        assert sm.last_diagnostics["plan_cache"]["hit"] is True
+        assert_identical(want, got[t])
 
 
 def assert_identical(a, b):
@@ -60,8 +71,8 @@ def aggressive_preemption():
         sys.setswitchinterval(old)
 
 
-def run_threaded(workloads, cache, *, rounds=4, dtype=None):
-    """Each thread smooths its own workload through the shared cache.
+def run_threaded(workloads, *, rounds=4, dtype=None):
+    """Each thread smooths its own workload through the default cache.
 
     All workloads share one structure (one cache entry).  A barrier
     maximizes overlap; each thread repeats ``rounds`` times (the result
@@ -75,7 +86,7 @@ def run_threaded(workloads, cache, *, rounds=4, dtype=None):
 
     def work(t):
         sm = repro.BatchSmoother()
-        cfg = repro.EstimatorConfig(plan_cache=cache, dtype=dtype)
+        cfg = repro.EstimatorConfig(dtype=dtype)
         try:
             barrier.wait()
             for _ in range(rounds):
@@ -106,33 +117,16 @@ class TestThreadedReplayBitIdentical:
         assert (
             len({workload_key(w) for w in workloads}) == 1
         ), "threads must share one cache entry for the test to bite"
-        cache = PlanCache()
         # Warm the entry so every thread replays (hits) the same plan.
-        repro.BatchSmoother().smooth_many(
-            workloads[0], config=repro.EstimatorConfig(plan_cache=cache)
-        )
-        got = run_threaded(workloads, cache, rounds=5)
-        sm = repro.BatchSmoother()
-        for t, w in enumerate(workloads):
-            want = sm.smooth_many(
-                w, config=repro.EstimatorConfig(plan_cache=False)
-            )
-            assert_identical(want, got[t])
+        repro.BatchSmoother().smooth_many(workloads[0])
+        got = run_threaded(workloads, rounds=5)
+        assert_serial_replay_equals(workloads, got)
 
     def test_mixed_precision_threads(self):
         """The float32/refined path leases workspaces too."""
         workloads = [workload([5, 8], seed0=97 * t) for t in range(4)]
-        cache = PlanCache()
-        got = run_threaded(workloads, cache, rounds=3, dtype="mixed")
-        sm = repro.BatchSmoother()
-        for t, w in enumerate(workloads):
-            want = sm.smooth_many(
-                w,
-                config=repro.EstimatorConfig(
-                    plan_cache=False, dtype="mixed"
-                ),
-            )
-            assert_identical(want, got[t])
+        got = run_threaded(workloads, rounds=3, dtype="mixed")
+        assert_serial_replay_equals(workloads, got, dtype="mixed")
 
     @settings(max_examples=6, deadline=None)
     @given(
@@ -147,14 +141,9 @@ class TestThreadedReplayBitIdentical:
         workloads = [
             workload(lengths, seed0=seed + 37 * t) for t in range(4)
         ]
-        cache = PlanCache()
-        got = run_threaded(workloads, cache, rounds=3)
-        sm = repro.BatchSmoother()
-        for t, w in enumerate(workloads):
-            want = sm.smooth_many(
-                w, config=repro.EstimatorConfig(plan_cache=False)
-            )
-            assert_identical(want, got[t])
+        default_plan_cache().clear()  # one fresh entry per example
+        got = run_threaded(workloads, rounds=3)
+        assert_serial_replay_equals(workloads, got)
 
 
 class TestLeaseMechanics:
@@ -202,11 +191,9 @@ class TestLeaseMechanics:
 
     def test_smoother_reports_workspace_stats(self):
         probs = workload([5, 6])
-        cache = PlanCache()
         sm = repro.BatchSmoother()
-        cfg = repro.EstimatorConfig(plan_cache=cache)
-        sm.smooth_many(probs, config=cfg)
-        sm.smooth_many(probs, config=cfg)
+        sm.smooth_many(probs)
+        sm.smooth_many(probs)
         ws = sm.last_diagnostics["plan_cache"]["workspaces"]
         assert ws["leases"] == 2
         assert ws["clones"] == 0

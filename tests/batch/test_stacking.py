@@ -5,6 +5,7 @@ import pytest
 
 from repro.batch.stacking import (
     bucket_problems,
+    build_bucket_layout,
     pad_problem,
     padded_length,
     stack_whitened,
@@ -12,6 +13,8 @@ from repro.batch.stacking import (
 )
 from repro.core.smoother import OddEvenSmoother
 from repro.model.generators import random_problem, tracking_2d_problem
+from repro.model.problem import StateSpaceProblem
+from repro.model.steps import Evolution, GaussianPrior, Observation, Step
 
 
 class TestPaddedLength:
@@ -94,58 +97,142 @@ class TestSignatureAndBuckets:
         assert len(bucket_problems(problems, pad=False)) == 2
 
 
+def scaled_identity_problem(k, seed, dims):
+    """A random problem whose every covariance is a scaled identity."""
+    base = random_problem(k=k, seed=seed, dims=dims)
+    steps = []
+    for i, step in enumerate(base.steps):
+        evo = obs = None
+        if step.evolution is not None:
+            evo = Evolution(
+                F=step.evolution.F, c=step.evolution.c, K=0.3 + 0.1 * i
+            )
+        if step.observation is not None:
+            obs = Observation(
+                G=step.observation.G, o=step.observation.o, L=2.0
+            )
+        steps.append(
+            Step(state_dim=step.state_dim, evolution=evo, observation=obs)
+        )
+    return StateSpaceProblem(
+        steps, prior=GaussianPrior(mean=base.prior.mean, cov=0.5)
+    )
+
+
+WHITENER_KINDS = {
+    "dense": lambda s: random_problem(k=6, seed=s, dims=3, random_cov=True),
+    "identity": lambda s: random_problem(k=6, seed=s, dims=3),
+    "scaled": lambda s: scaled_identity_problem(k=6, seed=s, dims=3),
+}
+
+
+def stack_bucket(problems):
+    """Stack a one-bucket workload through its compiled layout.
+
+    Returns the bucket's physically padded problems (the per-problem
+    references, in bucket order) and the stack.
+    """
+    (bucket,) = bucket_problems(problems)
+    layout = build_bucket_layout(bucket)
+    members = [problems[i] for i in bucket.indices]
+    return bucket.problems, stack_whitened(members, layout)
+
+
+def assert_slices_match_whiten(refs, stacked):
+    """Slice ``b`` equals ``refs[b].whiten()`` to roundoff; rows past
+    a slice's own observation count are exactly zero."""
+    for b, ref in enumerate(refs):
+        white = ref.whiten()
+        assert len(stacked.steps) == len(white.steps)
+        for got, ws in zip(stacked.steps, white.steps):
+            rows = ws.C.shape[0]
+            np.testing.assert_allclose(got.C[b][:rows], ws.C, atol=1e-12)
+            np.testing.assert_allclose(
+                got.rhs_C[b][:rows], ws.rhs_C, atol=1e-12
+            )
+            assert np.all(got.C[b][rows:] == 0.0)
+            assert np.all(got.rhs_C[b][rows:] == 0.0)
+            if ws.B is None:
+                assert got.B is None
+                continue
+            np.testing.assert_allclose(got.B[b], ws.B, atol=1e-12)
+            np.testing.assert_allclose(got.D[b], ws.D, atol=1e-12)
+            np.testing.assert_allclose(
+                got.rhs_BD[b], ws.rhs_BD, atol=1e-12
+            )
+
+
 class TestStackWhitened:
+    """The compiled-layout stacker against per-problem ``whiten()``."""
+
     def test_matches_per_problem_whitening(self):
         problems = [
             random_problem(k=6, seed=s, dims=3, random_cov=True)
             for s in range(4)
         ]
-        stacked = stack_whitened(problems)
-        for b, problem in enumerate(problems):
-            white = problem.whiten()
-            for i, ws in enumerate(white.steps):
-                np.testing.assert_allclose(
-                    stacked.steps[i].C[b], ws.C, atol=1e-12
-                )
-                np.testing.assert_allclose(
-                    stacked.steps[i].rhs_C[b], ws.rhs_C, atol=1e-12
-                )
-                if ws.B is not None:
-                    np.testing.assert_allclose(
-                        stacked.steps[i].B[b], ws.B, atol=1e-12
-                    )
-                    np.testing.assert_allclose(
-                        stacked.steps[i].D[b], ws.D, atol=1e-12
-                    )
-                    np.testing.assert_allclose(
-                        stacked.steps[i].rhs_BD[b], ws.rhs_BD, atol=1e-12
-                    )
+        refs, stacked = stack_bucket(problems)
+        assert_slices_match_whiten(refs, stacked)
+
+    def test_mixed_lengths_pad_virtually(self):
+        problems = [
+            random_problem(k=k, seed=k, dims=3, random_cov=True)
+            for k in (4, 7, 5, 6)  # 5..8 states, one bucket of 8
+        ]
+        refs, stacked = stack_bucket(problems)
+        assert len(stacked.steps) == 8
+        assert_slices_match_whiten(refs, stacked)
 
     def test_zero_pads_missing_observations(self):
         dense = random_problem(k=6, seed=1, dims=2)
         sparse = random_problem(k=6, seed=2, dims=2, obs_prob=0.4)
-        stacked = stack_whitened([dense, sparse])
-        white_sparse = sparse.whiten()
-        for i, ws in enumerate(white_sparse.steps):
-            rows = ws.C.shape[0]
-            got = stacked.steps[i].C[1]
-            np.testing.assert_allclose(got[:rows], ws.C, atol=1e-12)
-            # Padding rows are exactly zero (coefficients and RHS).
-            assert np.all(got[rows:] == 0.0)
-            assert np.all(stacked.steps[i].rhs_C[1][rows:] == 0.0)
+        refs, stacked = stack_bucket([dense, sparse])
+        assert any(
+            step.observation is None for step in sparse.steps
+        ), "the workload must have a missing observation to pad"
+        assert_slices_match_whiten(refs, stacked)
+
+    def test_prior_folds_into_step_zero(self):
+        with_prior = random_problem(k=5, seed=3, dims=3, random_cov=True)
+        without = random_problem(
+            k=5, seed=4, dims=3, random_cov=True, with_prior=False
+        )
+        refs, stacked = stack_bucket([with_prior, without])
+        step0 = stacked.steps[0]
+        # Prior rows plus observation rows for the first slice, only
+        # observation rows (then zero padding) for the second.
+        assert step0.C.shape[1] == with_prior.prior.dim + 3
+        assert_slices_match_whiten(refs, stacked)
+
+    @pytest.mark.parametrize(
+        "kinds",
+        [
+            ("dense", "identity", "scaled"),
+            ("identity", "scaled"),
+            ("identity", "identity"),
+        ],
+        ids="-".join,
+    )
+    def test_whitener_kinds(self, kinds):
+        """Dense factors take the batched-solve branch; all-identity
+        and scaled-identity stacks take the scaling branch."""
+        problems = [
+            WHITENER_KINDS[kind](seed) for seed, kind in enumerate(kinds)
+        ]
+        refs, stacked = stack_bucket(problems)
+        assert_slices_match_whiten(refs, stacked)
 
     def test_tracking_workload_stacks(self):
         problems = [
             tracking_2d_problem(k=10, seed=s)[0] for s in range(3)
         ]
-        stacked = stack_whitened(problems)
+        _, stacked = stack_bucket(problems)
         assert stacked.steps[0].C.shape[0] == 3
 
     def test_shape_accessors_address_trailing_axes(self):
         problems = [
             tracking_2d_problem(k=3, seed=s)[0] for s in range(5)
         ]
-        stacked = stack_whitened(problems)
+        _, stacked = stack_bucket(problems)
         white = problems[0].whiten()
         # Batched accessors report per-sequence row counts, not the
         # batch size.
@@ -155,12 +242,18 @@ class TestStackWhitened:
         assert stacked.total_rows() == white.total_rows()
 
     def test_rejects_empty_and_mixed(self):
+        """A layout takes exactly the workload it was compiled for."""
+        (bucket,) = bucket_problems(
+            [random_problem(k=2, seed=s, dims=2) for s in range(2)]
+        )
+        layout = build_bucket_layout(bucket)
         with pytest.raises(ValueError):
-            stack_whitened([])
+            stack_whitened([], layout)
         with pytest.raises(ValueError):
             stack_whitened(
                 [
                     random_problem(k=2, seed=0, dims=2),
                     random_problem(k=2, seed=0, dims=3),
-                ]
+                ],
+                layout,
             )

@@ -32,6 +32,22 @@ def _fresh_metrics_registry():
         yield
 
 
+@pytest.fixture(autouse=True)
+def _fresh_plan_cache():
+    """Start and end every test with an empty process-wide plan cache.
+
+    ``BatchSmoother`` plans every call through
+    :func:`repro.batch.plan.default_plan_cache`; without isolation, a
+    test's first call could hit a plan another test compiled, and
+    hit/miss and lease assertions would depend on test order.
+    """
+    from repro.batch.plan import default_plan_cache
+
+    default_plan_cache().clear()
+    yield
+    default_plan_cache().clear()
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -160,6 +160,25 @@ def _associative_nc_constructor_rejected():
         repro.BatchSmoother("associative", compute_covariance=False)
 
 
+def _plan_cache_option_rejected():
+    with pytest.raises(TypeError):
+        repro.EstimatorConfig(plan_cache=False)
+
+
+def _plan_cache_field_gone():
+    import dataclasses
+
+    fields = {f.name for f in dataclasses.fields(repro.EstimatorConfig)}
+    assert "plan_cache" not in fields
+
+
+def _unplanned_stack_whitener_gone():
+    import repro.linalg.cholesky as cholesky
+
+    assert not hasattr(cholesky, "stack_whiten")
+    assert "stack_whiten" not in cholesky.__all__
+
+
 @pytest.mark.parametrize(
     "check",
     [
@@ -167,6 +186,9 @@ def _associative_nc_constructor_rejected():
         _all_smoothers_alias_gone,
         _positional_backend_rejected,
         _associative_nc_constructor_rejected,
+        _plan_cache_option_rejected,
+        _plan_cache_field_gone,
+        _unplanned_stack_whitener_gone,
     ],
     ids=lambda check: check.__name__.strip("_"),
 )
